@@ -8,13 +8,13 @@
 //   ./examples/sieve_server --port-file /tmp/p   # for scripting (CI smoke)
 //
 // Options: --port P --port-file PATH --workers N --run-seconds S
-//          --mode thread|reactor --max-connections N
-// --mode reactor serves every connection from one event loop
-// (src/net/reactor) and uses the workers purely as a dispatch pool, so the
-// connection count is no longer bounded by --workers; tools/loadgen
-// measures the difference. Runs until SIGINT/SIGTERM or until
-// --run-seconds elapses (default 300, a leak guard for scripted runs),
-// then prints its traffic stats.
+//          --max-connections N
+// Every connection is served from one event loop (src/net/reactor); the
+// workers are purely a dispatch pool, so the connection count is bounded
+// by --max-connections, not by --workers. `--mode reactor` is accepted
+// for older scripts; any other --mode exits 2. Runs until SIGINT/SIGTERM
+// or until --run-seconds elapses (default 300, a leak guard for scripted
+// runs), then prints its traffic stats.
 #include <unistd.h>
 
 #include <atomic>
@@ -47,6 +47,13 @@ int main(int argc, char** argv) {
   const ac::Config cli(argc, argv);
   const auto run_seconds = cli.get_double("run-seconds", 300.0);
   const auto port_file = cli.get("port-file", "");
+  if (const std::string mode = cli.get("mode", "reactor"); mode != "reactor") {
+    std::fprintf(stderr,
+                 "sieve_server: --mode %s is not supported; the server "
+                 "always runs the reactor\n",
+                 mode.c_str());
+    return 2;
+  }
 
   if (!net::loopback_available()) {
     std::fprintf(stderr, "sieve_server: loopback TCP unavailable here\n");
@@ -68,21 +75,14 @@ int main(int argc, char** argv) {
   opts.port = static_cast<std::uint16_t>(cli.get_int("port", 0));
   opts.workers = static_cast<std::size_t>(cli.get_int("workers", 4));
   opts.label = "sieve-server";
-  const std::string mode = cli.get("mode", "thread");
-  if (mode == "reactor") {
-    opts.mode = net::TcpServer::Mode::kReactor;
-    opts.reactor.max_connections =
-        static_cast<std::size_t>(cli.get_int("max-connections", 1024));
-  } else if (mode != "thread") {
-    std::fprintf(stderr, "sieve_server: unknown --mode %s\n", mode.c_str());
-    return 2;
-  }
+  opts.reactor.max_connections =
+      static_cast<std::size_t>(cli.get_int("max-connections", 1024));
   net::TcpServer server(registry, opts);
 
   std::printf(
       "sieve_server: PrimeFilter hosted on 127.0.0.1:%u (%zu workers, "
-      "%s mode)\n",
-      server.port(), opts.workers, mode.c_str());
+      "reactor)\n",
+      server.port(), opts.workers);
   std::fflush(stdout);
   if (!port_file.empty()) {
     if (std::FILE* f = std::fopen(port_file.c_str(), "w")) {

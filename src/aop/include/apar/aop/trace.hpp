@@ -87,11 +87,18 @@ class TraceAspect : public Aspect {
           tracer_->record({std::chrono::steady_clock::now(),
                            std::this_thread::get_id(), sig, nullptr,
                            TraceEvent::Phase::kEnter, span.context()});
-          auto ref = inv.proceed();
-          tracer_->record({std::chrono::steady_clock::now(),
-                           std::this_thread::get_id(), sig, ref.identity(),
-                           TraceEvent::Phase::kExit, span.context()});
-          return ref;
+          try {
+            auto ref = inv.proceed();
+            tracer_->record({std::chrono::steady_clock::now(),
+                             std::this_thread::get_id(), sig, ref.identity(),
+                             TraceEvent::Phase::kExit, span.context()});
+            return ref;
+          } catch (...) {
+            tracer_->record({std::chrono::steady_clock::now(),
+                             std::this_thread::get_id(), sig, nullptr,
+                             TraceEvent::Phase::kError, span.context()});
+            throw;
+          }
         });
     return *this;
   }

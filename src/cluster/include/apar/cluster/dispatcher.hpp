@@ -19,7 +19,7 @@ namespace apar::cluster {
 /// Transport-agnostic server-side request dispatch: the object table, the
 /// per-object monitors and the create/call execution path that used to
 /// live inside Node. Both the simulated transport (Node's mailbox loop)
-/// and the real one (net::TcpServer's connection handlers) drive the SAME
+/// and the real one (net::TcpServer's pool workers) drive the SAME
 /// dispatcher, so "what a remote call does once it arrives" cannot drift
 /// between the simulation and the wire.
 ///

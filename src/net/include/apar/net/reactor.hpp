@@ -17,8 +17,8 @@ namespace apar::net {
 
 /// What the dispatch handler decided about one request frame: either a
 /// reply to queue back on the connection, or (chaos only) an instruction
-/// to close the connection without replying — the same "lost reply"
-/// semantics TcpServer's thread-per-connection mode implements.
+/// to close the connection without replying, so the client sees a "lost
+/// reply" (NetError{kClosed}).
 struct ReplyAction {
   bool drop = false;
   FrameHeader header;
@@ -26,9 +26,10 @@ struct ReplyAction {
 };
 
 /// Single-threaded event loop serving many connections over the frame
-/// protocol: nonblocking accept, per-connection incremental read state
-/// machines, request dispatch into a shared work-stealing ThreadPool, and
-/// ordered write-back with backpressure.
+/// protocol; TcpServer's only serving engine. Nonblocking accept,
+/// per-connection incremental read state machines, request dispatch into
+/// a shared work-stealing ThreadPool, and ordered write-back with
+/// backpressure.
 ///
 /// Threading model — one rule: ONLY the reactor thread touches connection
 /// state. Pool workers run the handler and push the finished ReplyAction
@@ -125,7 +126,7 @@ class Reactor {
 /// mark_spawns_concurrency() (unconfined: pool workers, not a
 /// target-confined helper thread), so a weave is only clean when some
 /// aspect's monitors still cover every racing effect pair — the
-/// composition gate for serving a weave behind Mode::kReactor.
+/// composition gate for serving a weave behind a TcpServer.
 template <class T>
 class ReactorIngressAspect : public aop::Aspect {
  public:

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "apar/cluster/dispatcher.hpp"
 #include "apar/cluster/name_server.hpp"
@@ -23,42 +22,23 @@ namespace apar::net {
 /// request does exactly the same thing whether it arrived on a simulated
 /// mailbox or a socket.
 ///
-/// Two serving modes share one request path (process_request), so the
-/// wire protocol — framing, trace trailers, kTelemetry, chaos knobs — is
-/// byte-identical in both:
-///
-///   kThreadPerConnection (the paper's scale, the baseline): one acceptor
-///   thread plus a ThreadPool of `workers` connection handlers. A
-///   connection occupies a worker until the client disconnects, so at
-///   most `workers` clients are served concurrently; additional
-///   connections queue in the pool.
-///
-///   kReactor (the C10K answer): a single event-loop thread multiplexes
-///   every connection (src/net/reactor — epoll, or poll via
-///   Options::reactor.force_poll) and dispatches decoded requests into
-///   the same ThreadPool, so `workers` bounds CPU concurrency while the
-///   connection count is bounded only by Options::reactor.max_connections.
-///   Adds write backpressure, idle timeouts, slow-reader eviction,
-///   connection limits and graceful drain. docs/networking.md has the
-///   architecture; tools/loadgen measures the difference.
+/// Serving runs on a Reactor (src/net/reactor): a single event-loop
+/// thread multiplexes every connection (epoll, or poll via
+/// Options::reactor.force_poll) and dispatches decoded requests into a
+/// ThreadPool of `workers`, so `workers` bounds CPU concurrency while the
+/// connection count is bounded only by Options::reactor.max_connections.
+/// The loop adds write backpressure, idle timeouts, slow-reader eviction,
+/// connection limits and graceful drain. Everything between a decoded
+/// request and its reply (chaos knobs, trace trailers, kTelemetry) lives
+/// in process_request. docs/networking.md has the architecture and the
+/// latency cost of the loop -> pool -> loop handoff.
 class TcpServer {
  public:
-  enum class Mode {
-    kThreadPerConnection,
-    kReactor,
-  };
-
   struct Options {
     std::uint16_t port = 0;      ///< 0 = pick an ephemeral port
-    std::size_t workers = 4;     ///< handler pool size (see Mode)
-    Mode mode = Mode::kThreadPerConnection;
-    /// Reactor-mode limits and timeouts; ignored in thread mode.
+    std::size_t workers = 4;     ///< request-handler pool size
+    /// Event-loop limits and timeouts.
     Reactor::Options reactor;
-    /// Per-frame I/O deadline once a frame has started arriving. Idle
-    /// time between frames is unlimited (a quiet client is not an error).
-    /// Thread mode only; the reactor's state machines never block, so
-    /// its equivalents are reactor.idle_timeout/write_stall_timeout.
-    std::chrono::milliseconds io_deadline{5000};
     /// Dispatcher error-message prefix; default "tcp:<port>".
     std::string label;
 
@@ -72,10 +52,9 @@ class TcpServer {
     std::chrono::milliseconds chaos_stall_ms{0};
   };
 
-  /// Byte/frame accounting, captured as a plain copyable snapshot. In
-  /// reactor mode the wire-side counters come from the event loop and
-  /// the reactor-only fields (rejected, backpressure_pauses, idle_closed,
-  /// slow_closed) become live; in thread mode those stay 0.
+  /// Byte/frame accounting, captured as a plain copyable snapshot. The
+  /// wire-side counters come from the event loop; dispatch_errors and the
+  /// chaos counters from the request path.
   struct Stats {
     std::uint64_t accepted = 0;
     std::uint64_t frames_in = 0;
@@ -106,31 +85,20 @@ class TcpServer {
   [[nodiscard]] cluster::Dispatcher& dispatcher() { return dispatcher_; }
   [[nodiscard]] cluster::NameServer& name_server() { return name_server_; }
   [[nodiscard]] Stats stats() const;
-  /// Live connection count; only meaningful in reactor mode (0 in thread
-  /// mode, which does not track it).
+  /// Live connection count.
   [[nodiscard]] std::size_t open_connections() const;
 
-  /// Stop accepting and shut down. Thread mode closes the listener and
-  /// joins the handlers; reactor mode drains gracefully first (in-flight
+  /// Stop accepting and shut down after a graceful drain: in-flight
   /// requests finish and queued replies flush, up to
-  /// Options::reactor.drain_timeout). Idempotent; the destructor calls it.
+  /// Options::reactor.drain_timeout. Idempotent; the destructor calls it.
   void stop();
 
  private:
-  void accept_loop();
-  void serve_connection(Socket socket);
-  /// The mode-independent request path: chaos drop/stall decisions,
-  /// serve-span tracing, dispatch, telemetry — everything between a
-  /// decoded request frame and its encoded reply. Called from a
-  /// connection handler (thread mode) or a pool worker (reactor mode).
+  /// The request path: chaos drop/stall decisions, serve-span tracing,
+  /// dispatch, telemetry — everything between a decoded request frame and
+  /// its encoded reply. Runs on a pool worker.
   ReplyAction process_request(const FrameHeader& header,
                               std::vector<std::byte> payload);
-  /// Handle one request frame; returns false when the connection must
-  /// close (chaos drop).
-  bool handle_frame(Socket& socket, const FrameHeader& header,
-                    std::vector<std::byte> payload);
-  void send_frame(Socket& socket, FrameHeader header,
-                  const std::vector<std::byte>& payload);
   /// kTelemetry reply body: node identity + server counters + the global
   /// metrics-registry JSON; tflags bit 0 adds the tagged trace buffer,
   /// bit 1 flushes (drains) it in the same exchange.
@@ -147,24 +115,17 @@ class TcpServer {
   std::atomic<std::uint64_t> request_seq_{0};  ///< chaos decision index
 
   struct AtomicStats {
-    std::atomic<std::uint64_t> accepted{0};
-    std::atomic<std::uint64_t> frames_in{0};
-    std::atomic<std::uint64_t> frames_out{0};
-    std::atomic<std::uint64_t> bytes_in{0};
-    std::atomic<std::uint64_t> bytes_out{0};
-    std::atomic<std::uint64_t> protocol_errors{0};
     std::atomic<std::uint64_t> dispatch_errors{0};
     std::atomic<std::uint64_t> chaos_dropped{0};
     std::atomic<std::uint64_t> chaos_stalled{0};
   };
   AtomicStats stats_;
 
-  // Last members: workers_, acceptor_ and reactor_ run code touching
-  // everything above, so they must be destroyed (joined) first. stop()
-  // tears them down in the safe order (reactor joined before the pool
-  // drains, listener closed last).
+  // Last members: workers_ and reactor_ run code touching everything
+  // above, so they must be destroyed (joined) first. stop() tears them
+  // down in the safe order (reactor joined before the pool drains,
+  // listener closed last).
   std::unique_ptr<concurrency::ThreadPool> workers_;
-  std::thread acceptor_;
   std::unique_ptr<Reactor> reactor_;
 };
 

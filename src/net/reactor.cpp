@@ -482,8 +482,7 @@ struct Reactor::Impl {
       ++conn.next_flush_seq;
       if (action.drop) {
         // Chaos "lost reply": close without answering — later pipelined
-        // requests on this connection die with it, exactly like the
-        // thread-per-connection mode.
+        // requests on this connection die with it.
         close_conn(conn);
         return false;
       }

@@ -1,10 +1,10 @@
 #include "apar/net/tcp_server.hpp"
 
-#include <poll.h>
 #include <unistd.h>
 
 #include <optional>
 #include <sstream>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -37,130 +37,48 @@ TcpServer::TcpServer(const cluster::rpc::Registry& registry, Options options)
                                 : options_.label) {
   if (options_.workers == 0) options_.workers = 1;
   workers_ = std::make_unique<concurrency::ThreadPool>(options_.workers);
-  if (options_.mode == Mode::kReactor) {
-    reactor_ = std::make_unique<Reactor>(
-        listener_, *workers_,
-        [this](const FrameHeader& header, std::vector<std::byte> payload) {
-          return process_request(header, std::move(payload));
-        },
-        options_.reactor, dispatcher_.label());
-  } else {
-    acceptor_ = std::thread([this] { accept_loop(); });
-  }
+  reactor_ = std::make_unique<Reactor>(
+      listener_, *workers_,
+      [this](const FrameHeader& header, std::vector<std::byte> payload) {
+        return process_request(header, std::move(payload));
+      },
+      options_.reactor, dispatcher_.label());
 }
 
 TcpServer::~TcpServer() { stop(); }
 
 void TcpServer::stop() {
   if (stopped_.exchange(true)) return;
-  if (reactor_) {
-    // Graceful drain first (joins the loop thread), THEN drain the pool:
-    // stragglers the reactor gave up waiting for finish into the shared
-    // completion queue, which outlives the reactor, and are discarded.
-    reactor_->stop();
-    workers_.reset();
-    listener_.close();
-    return;
-  }
-  // The acceptor polls in 100ms chunks and re-checks stopped_, so it can
-  // be joined without touching the listener; closing the fd only after
-  // the join keeps it single-threaded (closing it out from under the
-  // poll is a data race).
-  if (acceptor_.joinable()) acceptor_.join();
+  // Graceful drain first (joins the loop thread), THEN drain the pool:
+  // stragglers the reactor gave up waiting for finish into the shared
+  // completion queue, which outlives the reactor, and are discarded.
+  reactor_->stop();
+  workers_.reset();
   listener_.close();
-  workers_.reset();  // drains queued connections (they exit on stopped_)
 }
 
 TcpServer::Stats TcpServer::stats() const {
+  // The event loop owns the wire: its counters are the server's.
+  const Reactor::Stats r = reactor_->stats();
   Stats s;
-  s.accepted = stats_.accepted.load(std::memory_order_relaxed);
-  s.frames_in = stats_.frames_in.load(std::memory_order_relaxed);
-  s.frames_out = stats_.frames_out.load(std::memory_order_relaxed);
-  s.bytes_in = stats_.bytes_in.load(std::memory_order_relaxed);
-  s.bytes_out = stats_.bytes_out.load(std::memory_order_relaxed);
-  s.protocol_errors = stats_.protocol_errors.load(std::memory_order_relaxed);
+  s.accepted = r.accepted;
+  s.frames_in = r.frames_in;
+  s.frames_out = r.frames_out;
+  s.bytes_in = r.bytes_in;
+  s.bytes_out = r.bytes_out;
+  s.protocol_errors = r.protocol_errors;
   s.dispatch_errors = stats_.dispatch_errors.load(std::memory_order_relaxed);
   s.chaos_dropped = stats_.chaos_dropped.load(std::memory_order_relaxed);
   s.chaos_stalled = stats_.chaos_stalled.load(std::memory_order_relaxed);
-  if (reactor_) {
-    // The event loop owns the wire in reactor mode; its counters are the
-    // server's. The thread-mode atomics above stay 0 for these fields.
-    const Reactor::Stats r = reactor_->stats();
-    s.accepted += r.accepted;
-    s.frames_in += r.frames_in;
-    s.frames_out += r.frames_out;
-    s.bytes_in += r.bytes_in;
-    s.bytes_out += r.bytes_out;
-    s.protocol_errors += r.protocol_errors;
-    s.rejected = r.rejected;
-    s.backpressure_pauses = r.backpressure_pauses;
-    s.idle_closed = r.idle_closed;
-    s.slow_closed = r.slow_closed;
-  }
+  s.rejected = r.rejected;
+  s.backpressure_pauses = r.backpressure_pauses;
+  s.idle_closed = r.idle_closed;
+  s.slow_closed = r.slow_closed;
   return s;
 }
 
 std::size_t TcpServer::open_connections() const {
-  return reactor_ ? reactor_->open_connections() : 0;
-}
-
-void TcpServer::accept_loop() {
-  while (!stopped_.load(std::memory_order_relaxed)) {
-    Socket client = listener_.accept(std::chrono::milliseconds(100));
-    if (!client.valid()) continue;
-    stats_.accepted.fetch_add(1, std::memory_order_relaxed);
-    auto shared = std::make_shared<Socket>(std::move(client));
-    try {
-      workers_->post([this, shared] {
-        serve_connection(std::move(*shared));
-      });
-    } catch (...) {
-      // Pool shutting down: the accepted connection just closes.
-    }
-  }
-}
-
-void TcpServer::serve_connection(Socket socket) {
-  std::array<std::byte, FrameHeader::kSize> header_bytes;
-  while (!stopped_.load(std::memory_order_relaxed)) {
-    // Idle wait between frames: unbounded, but chunked so stop() is
-    // honoured promptly.
-    pollfd pfd{socket.fd(), POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, 100);
-    if (rc < 0) return;
-    if (rc == 0) continue;
-
-    try {
-      const Deadline deadline = deadline_after(options_.io_deadline);
-      recv_exact(socket, header_bytes.data(), header_bytes.size(), deadline);
-      const FrameHeader header =
-          decode_header(header_bytes.data(), header_bytes.size());
-      std::vector<std::byte> payload(header.payload_len);
-      if (header.payload_len > 0)
-        recv_exact(socket, payload.data(), payload.size(), deadline);
-      stats_.frames_in.fetch_add(1, std::memory_order_relaxed);
-      stats_.bytes_in.fetch_add(FrameHeader::kSize + payload.size(),
-                                std::memory_order_relaxed);
-      if (!handle_frame(socket, header, std::move(payload))) return;
-    } catch (const NetError& e) {
-      // kClosed on the header boundary is a normal disconnect; anything
-      // else means the stream cannot be trusted — drop the connection
-      // (frame sync is lost, there is no way to answer reliably).
-      if (e.kind() == NetError::Kind::kProtocol)
-        stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      return;
-    } catch (...) {
-      return;
-    }
-  }
-}
-
-bool TcpServer::handle_frame(Socket& socket, const FrameHeader& header,
-                             std::vector<std::byte> payload) {
-  ReplyAction action = process_request(header, std::move(payload));
-  if (action.drop) return false;  // chaos: close without replying
-  send_frame(socket, action.header, action.payload);
-  return true;
+  return reactor_->open_connections();
 }
 
 ReplyAction TcpServer::process_request(const FrameHeader& header,
@@ -318,19 +236,6 @@ std::string TcpServer::telemetry_json(std::uint8_t tflags) const {
   }
   os << "}";
   return os.str();
-}
-
-void TcpServer::send_frame(Socket& socket, FrameHeader header,
-                           const std::vector<std::byte>& payload) {
-  header.payload_len = static_cast<std::uint32_t>(payload.size());
-  const auto bytes = encode_header(header);
-  const Deadline deadline = deadline_after(options_.io_deadline);
-  send_all(socket, bytes.data(), bytes.size(), deadline);
-  if (!payload.empty())
-    send_all(socket, payload.data(), payload.size(), deadline);
-  stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_out.fetch_add(bytes.size() + payload.size(),
-                             std::memory_order_relaxed);
 }
 
 }  // namespace apar::net

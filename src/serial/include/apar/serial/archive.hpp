@@ -262,7 +262,6 @@ class Reader {
   void value(std::vector<T>& v) {
     const std::size_t n = begin_sequence<T>();
     if constexpr (std::is_same_v<T, bool>) {
-      check(n);
       v.clear();
       v.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
@@ -271,7 +270,8 @@ class Reader {
         v.push_back(byte != 0);
       }
     } else if constexpr (std::is_arithmetic_v<T>) {
-      check(n * sizeof(T));
+      // Divide rather than multiply: n * sizeof(T) can wrap.
+      if (n > remaining() / sizeof(T)) throw SerialError("truncated input");
       v.resize(n);
       std::memcpy(v.data(), data_ + pos_, n * sizeof(T));
       pos_ += n * sizeof(T);
@@ -368,7 +368,15 @@ class Reader {
                           std::string(detail::type_name<T>()) + ", got " +
                           std::string(got));
     }
-    return length();
+    // Every element encodes to at least one byte, so a count beyond the
+    // remaining input is truncated or hostile: refuse it here, before a
+    // caller's reserve/resize can allocate for it.
+    const std::size_t n = length();
+    if (n > remaining())
+      throw SerialError("sequence count " + std::to_string(n) +
+                        " exceeds the " + std::to_string(remaining()) +
+                        " remaining input bytes");
+    return n;
   }
 
   void expect_tag(detail::Tag want) {

@@ -37,12 +37,6 @@ class FarmAspect : public aop::Aspect {
     std::size_t pack_size = 1000;
     RoutingPolicy routing = RoutingPolicy::kRoundRobin;
     std::uint64_t seed = 42;  ///< for kRandom routing
-    /// Submit a partition's packs as ONE pool batch (TaskGroup::BatchScope
-    /// over ThreadPool::bulk_post) when a pooled concurrency aspect sits
-    /// below: one wake sweep instead of a locked post per pack. Thread-per-
-    /// call and distribution dispatch are unaffected. Disable to force the
-    /// pack-at-a-time submission the paper describes.
-    bool batch_submit = true;
     /// Broadcast by default; replace to give workers distinct arguments.
     CtorPartitioner<CtorArgs...> ctor_args =
         broadcast_ctor_args<CtorArgs...>();
@@ -111,22 +105,17 @@ class FarmAspect : public aop::Aspect {
               auto& [data] = inv.args();
               auto packs =
                   split_into_packs<E>(data, pack_size_.load(std::memory_order_relaxed));
-              if (options_.batch_submit) {
-                // Pooled async dispatches below collect into one
-                // bulk_post, flushed when the scope closes; non-pooled
-                // dispatch is unaffected by the scope.
-                concurrency::TaskGroup::BatchScope batch(
-                    inv.context().tasks());
-                for (auto& pack : packs) {
-                  // Stay on the process() chain: the route advice below
-                  // picks the worker, then concurrency/distribution advice
-                  // apply.
-                  inv.proceed_with(pack);
-                }
-              } else {
-                for (auto& pack : packs) {
-                  inv.proceed_with(pack);
-                }
+              // A partition's packs go to the pool as ONE batch: pooled
+              // async dispatches below collect into one bulk_post (one
+              // wake sweep instead of a locked post per pack), flushed
+              // when the scope closes. Thread-per-call and distribution
+              // dispatch are unaffected by the scope.
+              concurrency::TaskGroup::BatchScope batch(inv.context().tasks());
+              for (auto& pack : packs) {
+                // Stay on the process() chain: the route advice below
+                // picks the worker, then concurrency/distribution advice
+                // apply.
+                inv.proceed_with(pack);
               }
             })
         // Fan-out: the packs proceed down chains the composition is

@@ -52,6 +52,28 @@ TEST(TraceAspect, ErrorPhaseOnThrow) {
   EXPECT_EQ(events.back().phase, aop::TraceEvent::Phase::kError);
 }
 
+TEST(TraceAspect, FailedCreationClosesItsSpan) {
+  // A creation that throws below the trace (e.g. a remote create over a
+  // dead connection) must close its span with kError, not leave it open.
+  auto tracer = std::make_shared<aop::Tracer>();
+  aop::Context ctx;
+  ctx.attach(make_trace(tracer));
+  auto veto = std::make_shared<aop::Aspect>("veto");
+  veto->around_new<Worker, int>(
+      aop::order::kDefault, aop::Scope::any(),
+      [](aop::CtorInvocation<Worker, int>&) -> aop::Ref<Worker> {
+        throw std::runtime_error("create failed");
+      });
+  ctx.attach(veto);
+  EXPECT_THROW(ctx.create<Worker>(1), std::runtime_error);
+  std::size_t errors = 0;
+  for (const auto& e : tracer->events())
+    if (e.phase == aop::TraceEvent::Phase::kError) ++errors;
+  EXPECT_EQ(errors, 1u);
+  EXPECT_EQ(tracer->calls("Worker.new"), 1u);
+  EXPECT_EQ(tracer->open_spans(), 0u);
+}
+
 TEST(TraceAspect, SequentialRunUsesOneThread) {
   auto tracer = std::make_shared<aop::Tracer>();
   aop::Context ctx;

@@ -1,7 +1,7 @@
-// Event-driven server mode (src/net/reactor): protocol equivalence with
-// thread-per-connection, incremental decode (1-byte trickle), pipelined
+// TcpServer's event-driven engine (src/net/reactor): round trips on both
+// poller backends, incremental decode (1-byte trickle), pipelined
 // ordering, backpressure, slow-reader eviction, connection limits, idle
-// timeouts, graceful drain, chaos composition — on both poller backends.
+// timeouts, graceful drain, chaos composition.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -22,7 +22,6 @@ namespace ac = apar::cluster;
 namespace as = apar::serial;
 namespace net = apar::net;
 using apar::test::Counter;
-using apar::test::TcpRig;
 
 namespace {
 
@@ -45,15 +44,9 @@ class Blob {
   }
 };
 
-net::TcpServer::Options reactor_options() {
-  net::TcpServer::Options opts;
-  opts.mode = net::TcpServer::Mode::kReactor;
-  return opts;
-}
-
 /// Rig with the reactor-specific classes registered alongside Counter.
 struct ReactorRig {
-  explicit ReactorRig(net::TcpServer::Options opts = reactor_options()) {
+  explicit ReactorRig(net::TcpServer::Options opts = {}) {
     apar::test::register_counter(registry);
     registry.bind<Sleeper>("Sleeper").ctor<>().method<&Sleeper::nap>("nap");
     registry.bind<Blob>("Blob").ctor<>().method<&Blob::make>("make");
@@ -151,7 +144,7 @@ INSTANTIATE_TEST_SUITE_P(Poller, ReactorBackends, ::testing::Values(false, true)
 
 TEST_P(ReactorBackends, RoundTripCreateInvokeLookupTelemetry) {
   APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
+  net::TcpServer::Options opts;
   opts.reactor.force_poll = GetParam();
   ReactorRig rig(opts);
   auto& mw = *rig.middleware;
@@ -176,51 +169,6 @@ TEST_P(ReactorBackends, RoundTripCreateInvokeLookupTelemetry) {
   EXPECT_EQ(stats.frames_in, 6u);
   EXPECT_EQ(stats.frames_out, 6u);
   EXPECT_EQ(stats.protocol_errors, 0u);
-}
-
-// --- mode parity ------------------------------------------------------------
-
-TEST(Reactor, ServesIdenticalBytesToThreadPerConnection) {
-  APAR_REQUIRE_LOOPBACK();
-  // Same dispatcher label on both sides so error strings (which embed it)
-  // compare byte-for-byte too.
-  net::TcpServer::Options thread_opts;
-  thread_opts.label = "parity";
-  auto reactor_opts = reactor_options();
-  reactor_opts.label = "parity";
-
-  apar::test::TcpRig baseline(as::Format::kCompact, thread_opts);
-  apar::test::TcpRig reactor(as::Format::kCompact, reactor_opts);
-
-  auto run = [](apar::test::TcpRig& rig) {
-    auto& mw = *rig.middleware;
-    std::vector<std::vector<std::byte>> replies;
-    const auto handle =
-        mw.create(0, "Counter", as::encode(mw.wire_format(), 10LL));
-    mw.invoke(handle, "add", as::encode(mw.wire_format(), 32LL));
-    replies.push_back(mw.invoke(handle, "get", as::encode(mw.wire_format())));
-    replies.push_back(mw.invoke(handle, "greet",
-                                as::encode(mw.wire_format(),
-                                           std::string("reactor"))));
-    std::vector<long long> pack{1, 2, 3};
-    replies.push_back(mw.invoke(handle, "absorb",
-                                as::encode(mw.wire_format(), pack)));
-    try {
-      mw.invoke(handle, "no_such_method", as::encode(mw.wire_format()));
-    } catch (const ac::rpc::RpcError& e) {
-      const std::string what = e.what();
-      replies.emplace_back();
-      for (const char c : what)
-        replies.back().push_back(static_cast<std::byte>(c));
-    }
-    return replies;
-  };
-
-  const auto a = run(baseline);
-  const auto b = run(reactor);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    EXPECT_EQ(a[i], b[i]) << "reply " << i << " differs between modes";
 }
 
 // --- incremental decode -----------------------------------------------------
@@ -248,7 +196,7 @@ TEST(Reactor, DecodesOneByteTrickle) {
 
 TEST(Reactor, PipelinedRepliesKeepRequestOrder) {
   APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
+  net::TcpServer::Options opts;
   opts.workers = 4;  // plenty of room for out-of-order completion
   ReactorRig rig(opts);
   auto& mw = *rig.middleware;
@@ -288,7 +236,7 @@ TEST(Reactor, PipelinedRepliesKeepRequestOrder) {
 
 TEST(Reactor, InflightCapPausesReadsAndRecovers) {
   APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
+  net::TcpServer::Options opts;
   opts.workers = 2;
   opts.reactor.max_inflight = 3;
   ReactorRig rig(opts);
@@ -321,7 +269,7 @@ TEST(Reactor, InflightCapPausesReadsAndRecovers) {
 
 TEST(Reactor, OutboundQueueCapPausesReads) {
   APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
+  net::TcpServer::Options opts;
   opts.reactor.max_outbound_bytes = 16 * 1024;
   opts.reactor.sndbuf_bytes = 8 * 1024;
   ReactorRig rig(opts);
@@ -360,7 +308,7 @@ TEST(Reactor, OutboundQueueCapPausesReads) {
 
 TEST(Reactor, EvictsSlowReader) {
   APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
+  net::TcpServer::Options opts;
   opts.reactor.sndbuf_bytes = 8 * 1024;
   opts.reactor.write_stall_timeout = std::chrono::milliseconds(300);
   ReactorRig rig(opts);
@@ -386,7 +334,7 @@ TEST(Reactor, EvictsSlowReader) {
 
 TEST(Reactor, RejectsConnectionsOverTheLimit) {
   APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
+  net::TcpServer::Options opts;
   opts.reactor.max_connections = 2;
   ReactorRig rig(opts);
 
@@ -415,7 +363,7 @@ TEST(Reactor, RejectsConnectionsOverTheLimit) {
 
 TEST(Reactor, ClosesIdleConnections) {
   APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
+  net::TcpServer::Options opts;
   opts.reactor.idle_timeout = std::chrono::milliseconds(150);
   ReactorRig rig(opts);
 
@@ -464,13 +412,13 @@ TEST(Reactor, GracefulDrainFlushesInflightReplies) {
 
 TEST(Reactor, ServesManyMoreClientsThanWorkers) {
   APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
+  net::TcpServer::Options opts;
   opts.workers = 4;
   ReactorRig rig(opts);
   auto& mw = *rig.middleware;
 
-  // 16 concurrent closed-loop clients on 4 workers: impossible in
-  // thread-per-connection mode (12 would starve in the accept queue).
+  // 16 concurrent closed-loop clients on 4 workers: connections are not
+  // bound to workers, so none starves in the accept queue.
   constexpr int kThreads = 16;
   constexpr int kCallsPerThread = 25;
   std::vector<ac::RemoteHandle> handles;
@@ -494,7 +442,7 @@ TEST(Reactor, ServesManyMoreClientsThanWorkers) {
     EXPECT_EQ(value, kCallsPerThread);
   }
 
-  // Byte parity both directions, exactly like the thread-mode hammer test.
+  // Byte parity both directions, as in the TcpConcurrency hammer test.
   const auto counters = mw.net_counters();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(2);
@@ -512,13 +460,13 @@ TEST(Reactor, ServesManyMoreClientsThanWorkers) {
 
 TEST(Reactor, ChaosDropRetriesLookupLikeThreadMode) {
   APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
+  net::TcpServer::Options opts;
   opts.chaos_drop_frames = 2;  // server eats the first two requests
   ReactorRig rig(opts);
   auto& mw = *rig.middleware;
 
   // Lookups retry through reconnects, so the chaos is invisible except in
-  // the counters — byte-identical behaviour to thread mode.
+  // the counters.
   EXPECT_FALSE(mw.lookup("nobody").has_value());
   EXPECT_EQ(rig.server->stats().chaos_dropped, 2u);
   EXPECT_GE(mw.net_counters().retries, 2u);

@@ -29,8 +29,8 @@ TEST(TcpConcurrency, HammerFromManyThreadsAndByteParity) {
   TcpRig rig(as::Format::kCompact, sopts);
   auto& mw = *rig.middleware;
 
-  // The server is thread-per-connection with `workers` handlers, so keep
-  // client threads <= workers.
+  // One client thread per server worker (Reactor.ServesManyMoreClients-
+  // ThanWorkers covers the oversubscribed case).
   constexpr int kThreads = 4;
   constexpr int kCallsPerThread = 50;
   std::vector<ac::RemoteHandle> handles;

@@ -187,3 +187,39 @@ TEST(SerialEdgeFixed, EveryByteTruncationEitherThrowsOrYieldsPrefix) {
         << "cut at " << cut;
   }
 }
+
+// Hostile counts: a tiny payload declaring an enormous sequence must fail
+// with SerialError before anything is allocated for it — not bad_alloc,
+// not length_error, and not "truncated input" after a huge reserve.
+
+TEST(SerialEdgeFixed, HugeStringCountIsRejectedNotBadAlloc) {
+  as::Writer w;
+  w.length(std::size_t{1} << 33);  // 5-byte payload
+  ASSERT_EQ(w.bytes().size(), 5u);
+  EXPECT_THROW((as::decode<std::vector<std::string>>(w.bytes(),
+                                                     as::Format::kCompact)),
+               as::SerialError);
+}
+
+TEST(SerialEdgeFixed, StringCountBeyondInputFailsBeforeReserving) {
+  as::Writer w;
+  w.length(std::size_t{1} << 22);  // 4-byte payload, ~128 MB if reserved
+  try {
+    (void)as::decode<std::vector<std::string>>(w.bytes(),
+                                               as::Format::kCompact);
+    FAIL() << "decode of a 2^22-string count accepted a 4-byte payload";
+  } catch (const as::SerialError& e) {
+    // The count check, not the per-element read after reserve(2^22).
+    EXPECT_NE(std::string(e.what()).find("sequence count"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SerialEdgeFixed, ArithmeticCountOverflowIsASerialError) {
+  as::Writer w;
+  w.length(std::size_t{1} << 61);  // n * sizeof(long long) wraps to 0
+  w.value(7LL);
+  EXPECT_THROW((as::decode<std::vector<long long>>(w.bytes(),
+                                                   as::Format::kCompact)),
+               as::SerialError);
+}

@@ -196,11 +196,11 @@ analysis::Report analyze_sieve_tcp() {
   return report;
 }
 
-/// The TCP sieve weave as served by the event-driven reactor
-/// (TcpServer::Mode::kReactor): ReactorIngressAspect declares that every
-/// served method may be entered from a pool worker the reactor dispatched
-/// to — unconfined concurrency injected by the TRANSPORT, not by any
-/// client-side weave. The effects pass then demands a monitor covering
+/// The TCP sieve weave as served by TcpServer's event-driven reactor:
+/// ReactorIngressAspect declares that every served method may be entered
+/// from a pool worker the reactor dispatched to — unconfined concurrency
+/// injected by the TRANSPORT, not by any client-side weave. The effects
+/// pass then demands a monitor covering
 /// every pair of served methods that race on declared state, which is why
 /// Conc guards take_results here (collect and take_results both write
 /// "results"; the plain FarmTCP weave only ever calls take_results from

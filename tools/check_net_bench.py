@@ -2,14 +2,12 @@
 """Validate BENCH_net.json (produced by tools/run_bench.py --net).
 
 Structural checks always run: every scenario must carry the full latency
-summary with ordered percentiles and a sane request accounting. With
---require-ratio R the acceptance gate is enforced too: the reactor
-scenario must serve at least R times thread-per-connection's sustainable
-connection count (its worker limit) at equal-or-better p99 under the same
-offered load, with zero reactor-side errors.
+summary with ordered percentiles and a sane request accounting. A full-mode
+document (not --quick) must also pass the reactor gate on its open-loop
+scenario: at least MIN_CONNECTIONS_PER_WORKER x workers connections, zero
+errors, and p99 <= MAX_P99_US under the fixed offered rate.
 
-    tools/check_net_bench.py BENCH_net.json               # schema only
-    tools/check_net_bench.py BENCH_net.json --require-ratio 4
+    tools/check_net_bench.py BENCH_net.json
 
 Exit status: 0 valid (or an explicit loopback-skip marker), 1 invalid.
 """
@@ -21,6 +19,11 @@ import sys
 PERCENTILE_KEYS = ("p50", "p95", "p99", "p999", "max")
 REQUIRED_KEYS = ("mode", "clients", "requests", "ok", "errors",
                  "throughput_rps", "latency_us")
+# Reactor gate for the open-loop scenario: one event loop must hold 4
+# connections per worker with no request lost, at a p99 well inside what a
+# worker-bound server shows when those connections starve (seconds).
+MIN_CONNECTIONS_PER_WORKER = 4
+MAX_P99_US = 5000.0
 
 
 def fail(message):
@@ -51,34 +54,33 @@ def check_scenario(name, row):
         fail(f"scenario {name}: ok > 0 but throughput_rps <= 0")
 
 
-def check_ratio(doc, require_ratio):
-    comparison = doc.get("comparison")
-    if not comparison:
-        fail("--require-ratio needs the 'comparison' block "
-             "(full-mode run_bench.py --net, not --quick)")
-    ratio = comparison["connection_ratio"]
-    if ratio < require_ratio:
-        fail(f"connection ratio {ratio:.1f} < required {require_ratio}")
-    thread_p99 = comparison["thread_p99_us_at_reactor_load"]
-    reactor_p99 = comparison["reactor_p99_us"]
-    if reactor_p99 > thread_p99:
-        fail(f"reactor p99 {reactor_p99}us worse than thread-per-connection "
-             f"{thread_p99}us at the same offered load")
-    if comparison["reactor_errors"] != 0:
-        fail(f"reactor dropped {comparison['reactor_errors']} requests "
-             f"while serving {comparison['reactor_connections']} connections")
-    print(f"check_net_bench: reactor held {comparison['reactor_connections']} "
-          f"connections ({ratio:.1f}x thread mode's "
-          f"{comparison['thread_sustainable_connections']}) at p99 "
-          f"{reactor_p99}us vs {thread_p99}us")
+def check_reactor_gate(doc, scenarios):
+    workers = doc.get("workers")
+    if not isinstance(workers, int) or workers <= 0:
+        fail(f"full-mode document needs a positive 'workers', got {workers!r}")
+    open_rows = {name: row for name, row in scenarios.items()
+                 if row["mode"] == "open"}
+    if not open_rows:
+        fail("full-mode document has no open-loop scenario to gate")
+    for name, row in open_rows.items():
+        need = MIN_CONNECTIONS_PER_WORKER * workers
+        if row["clients"] < need:
+            fail(f"scenario {name}: {row['clients']} connections < "
+                 f"{MIN_CONNECTIONS_PER_WORKER} x {workers} workers")
+        if row["errors"] != 0:
+            fail(f"scenario {name}: {row['errors']} of {row['requests']} "
+                 f"requests failed")
+        p99 = row["latency_us"]["p99"]
+        if p99 > MAX_P99_US:
+            fail(f"scenario {name}: p99 {p99}us > {MAX_P99_US:.0f}us")
+        print(f"check_net_bench: {name} held {row['clients']} connections "
+              f"on {workers} workers, {row['ok']}/{row['requests']} ok, "
+              f"p99 {p99}us (bound {MAX_P99_US:.0f}us)")
 
 
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("path", help="BENCH_net.json to validate")
-    parser.add_argument("--require-ratio", type=float, default=0.0,
-                        help="minimum reactor/thread connection ratio at "
-                             "equal-or-better p99 (0 = schema checks only)")
     args = parser.parse_args(argv)
 
     try:
@@ -95,8 +97,8 @@ def main(argv):
         fail("no scenarios in document")
     for name, row in scenarios.items():
         check_scenario(name, row)
-    if args.require_ratio > 0:
-        check_ratio(doc, args.require_ratio)
+    if not doc.get("quick", False):
+        check_reactor_gate(doc, scenarios)
     print(f"check_net_bench: {args.path} OK ({len(scenarios)} scenarios)")
 
 

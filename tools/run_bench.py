@@ -14,21 +14,18 @@ load, date from the benchmark's own header) to keep numbers honest when
 they are quoted in EXPERIMENTS.md.
 
 With --net the flow is different: instead of a google-benchmark binary it
-drives examples/sieve_server + tools/loadgen through the thread-mode vs
-reactor-mode latency scenarios and writes BENCH_net.json:
+drives examples/sieve_server + tools/loadgen through two latency scenarios
+against the server's reactor and writes BENCH_net.json:
 
     tools/run_bench.py --net --build build --out BENCH_net.json
 
 Scenarios (full mode; --quick runs one small closed-loop round for CI):
-  thread_wW_cW    closed loop at thread mode's natural capacity
-                  (clients == workers): the baseline service latency.
-  thread_wW_cN    open loop, N = 4x workers connections: thread-per-
-                  connection past its worker limit (starved clients,
-                  coordinated-omission-corrected percentiles).
-  reactor_wW_cN   the same open-loop load against Mode::kReactor.
-The "comparison" block distills the acceptance question — how many
-connections the reactor sustains versus thread mode, at what p99 — and
-tools/check_net_bench.py gates on it.
+  reactor_wW_cW   closed loop, clients == workers: the baseline service
+                  latency.
+  reactor_wW_cN   open loop, N = 4x workers connections at a fixed offered
+                  rate (coordinated-omission-corrected percentiles).
+tools/check_net_bench.py gates the open-loop row: enough connections per
+worker, zero errors, bounded p99.
 
 With --adapt it drives bench/adapt_scaling — the phase-shifting autonomic
 workload — and writes BENCH_adapt.json:
@@ -85,7 +82,7 @@ def parse_args(argv):
     parser.add_argument("--workers", type=int, default=8,
                         help="[--net] server workers W")
     parser.add_argument("--connections", type=int, default=32,
-                        help="[--net] reactor-scenario connection count N")
+                        help="[--net] open-loop connection count N")
     parser.add_argument("--rate", type=float, default=3000.0,
                         help="[--net] open-loop aggregate requests/second")
     parser.add_argument("--measure-seconds", type=float, default=4.0,
@@ -193,9 +190,8 @@ class NetServer:
     """examples/sieve_server as a context manager: starts the process,
     waits for the port file, SIGTERMs on exit."""
 
-    def __init__(self, build, mode, workers):
+    def __init__(self, build, workers):
         self.binary = os.path.join(build, "examples", "sieve_server")
-        self.mode = mode
         self.workers = workers
         self.proc = None
         self.port = None
@@ -205,8 +201,7 @@ class NetServer:
             prefix="apar_port_", delete=False)
         port_file.close()
         os.unlink(port_file.name)
-        cmd = [self.binary, "--mode", self.mode,
-               "--workers", str(self.workers),
+        cmd = [self.binary, "--workers", str(self.workers),
                "--port-file", port_file.name, "--run-seconds", "300"]
         print("+ " + " ".join(cmd), file=sys.stderr)
         self.proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL)
@@ -266,7 +261,7 @@ def run_net(args):
             # CI smoke: one small closed-loop round against the reactor,
             # just enough to validate the whole pipeline end to end.
             name = f"reactor_w2_c4_quick"
-            with NetServer(args.build, "reactor", 2) as server:
+            with NetServer(args.build, 2) as server:
                 scenarios[name] = run_loadgen(
                     args.build, server.port, name,
                     ["--mode", "closed", "--clients", "4",
@@ -277,18 +272,14 @@ def run_net(args):
                          "--rate", str(args.rate),
                          "--measure-seconds", str(args.measure_seconds),
                          "--warmup-seconds", "1", "--timeout-ms", "1000"]
-            name = f"thread_w{workers}_c{workers}"
-            with NetServer(args.build, "thread", workers) as server:
+            name = f"reactor_w{workers}_c{workers}"
+            with NetServer(args.build, workers) as server:
                 scenarios[name] = run_loadgen(
                     args.build, server.port, name,
                     ["--mode", "closed", "--clients", str(workers),
                      "--requests", "2000", "--warmup", "200"])
-            name = f"thread_w{workers}_c{connections}"
-            with NetServer(args.build, "thread", workers) as server:
-                scenarios[name] = run_loadgen(args.build, server.port, name,
-                                              open_args)
             name = f"reactor_w{workers}_c{connections}"
-            with NetServer(args.build, "reactor", workers) as server:
+            with NetServer(args.build, workers) as server:
                 scenarios[name] = run_loadgen(args.build, server.port, name,
                                               open_args)
     except LoopbackUnavailable:
@@ -299,24 +290,7 @@ def run_net(args):
             fh.write("\n")
         return
 
-    doc = {"workers": workers, "scenarios": scenarios}
-    if not args.quick:
-        # Thread-per-connection can serve at most `workers` connections at
-        # once; the reactor scenario offers `connections` of them. The pair
-        # of open-loop runs at identical offered load is the apples-to-
-        # apples comparison the acceptance gate checks.
-        thread = scenarios[f"thread_w{workers}_c{connections}"]
-        reactor = scenarios[f"reactor_w{workers}_c{connections}"]
-        doc["comparison"] = {
-            "thread_sustainable_connections": workers,
-            "reactor_connections": connections,
-            "connection_ratio": connections / workers,
-            "offered_rate_rps": args.rate,
-            "thread_p99_us_at_reactor_load": thread["latency_us"]["p99"],
-            "reactor_p99_us": reactor["latency_us"]["p99"],
-            "thread_errors": thread["errors"],
-            "reactor_errors": reactor["errors"],
-        }
+    doc = {"workers": workers, "quick": args.quick, "scenarios": scenarios}
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -347,7 +321,7 @@ def run_adapt(args):
         # reactor server records the net.rtt_us shape the controller's
         # routing plane consumes. Not part of the recovery gate.
         try:
-            with NetServer(args.build, "reactor", 2) as server:
+            with NetServer(args.build, 2) as server:
                 doc["net"] = run_loadgen(
                     args.build, server.port, "adapt_net",
                     ["--mode", "closed", "--clients", "4",

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Two-process sieve smoke over real TCP (docs/networking.md): start a
-# sieve_server, run sieve_client against it in BOTH wire formats, then
-# shut the server down cleanly. The client verifies its own prime count
-# against the reference sieve and exits nonzero on a mismatch, so this
-# script passing means bytes genuinely crossed a process boundary and
-# came back right.
+# sieve_server (which always serves from its reactor event loop), run
+# sieve_client against it in BOTH wire formats, then shut the server down
+# cleanly. The client verifies its own prime count against the reference
+# sieve and exits nonzero on a mismatch, so this script passing means
+# bytes genuinely crossed a process boundary and came back right.
 #
 # A second, traced round (docs/observability.md) then reruns the pair with
 # APAR_TRACE_OUT set on both halves, polls the server's kTelemetry op with
@@ -59,7 +59,7 @@ kill -TERM "$SERVER_PID"
 wait "$SERVER_PID"
 trap - EXIT
 rm -f "$PORT_FILE"
-echo "net smoke clean: both formats, two processes, one socket"
+echo "net smoke clean: both formats, two processes, one socket (reactor)"
 
 # ---- traced round: distributed tracing + live telemetry ----
 PY=python3
@@ -102,40 +102,4 @@ trap 'rm -rf "$TRACE_DIR"' EXIT
 
 rm -rf "$TRACE_DIR" "$PORT_FILE"
 trap - EXIT
-echo "net smoke clean: both formats + one distributed trace, two processes"
-
-# ---- reactor round: same client, event-driven server ----
-# The reactor mode (docs/networking.md) must be wire-invisible: the
-# unmodified client runs the same weave against `--mode reactor` and the
-# distributed-trace gate must hold identically — server-side serve.*
-# spans parented into the client process even though requests now arrive
-# via the event loop and execute on whichever pool worker the reactor
-# dispatched to.
-TRACE_DIR="$(mktemp -d)"
-rm -f "$PORT_FILE"
-APAR_TRACE_OUT="$TRACE_DIR/server.json" APAR_METRICS=1 \
-  "$SERVER" --mode reactor --port-file "$PORT_FILE" --run-seconds 120 &
-SERVER_PID=$!
-trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$TRACE_DIR"' EXIT
-for _ in $(seq 1 200); do
-  [ -s "$PORT_FILE" ] && break
-  sleep 0.05
-done
-[ -s "$PORT_FILE" ] || { echo "run_net_smoke: no port for reactor round" >&2; exit 1; }
-PORT="$(cat "$PORT_FILE")"
-
-echo "=== traced sieve over tcp://127.0.0.1:$PORT (reactor) ==="
-APAR_TRACE_OUT="$TRACE_DIR/client.json" \
-  "$CLIENT" --port "$PORT" --format compact --max 100000 --filters 3
-
-kill -TERM "$SERVER_PID"
-wait "$SERVER_PID"
-trap 'rm -rf "$TRACE_DIR"' EXIT
-
-"$PY" tools/merge_traces.py "$TRACE_DIR/client.json" "$TRACE_DIR/server.json" \
-  -o "$TRACE_DIR/merged.json" --require-links 1 --assert-remote-parents serve.
-"$PY" tools/check_obs.py --merged "$TRACE_DIR/merged.json"
-
-rm -rf "$TRACE_DIR" "$PORT_FILE"
-trap - EXIT
-echo "net smoke clean: thread and reactor modes, one distributed trace each"
+echo "net smoke clean: both formats + one distributed trace, two processes, reactor server"

@@ -2,8 +2,8 @@
 # Run the stress suite (`ctest -L stress`) plus the cache suite (`-L
 # cache`) and the real-TCP transport suite (`-L net` — which includes
 # the event-driven reactor tests: pipelining, backpressure, slow-reader
-# eviction and mode-parity, all prime tsan material since the reactor
-# loop hands frames to pool workers and flushes their completions back)
+# eviction and drain, all prime tsan material since the reactor loop
+# hands frames to pool workers and flushes their completions back)
 # and the scheduler suite (`-L scheduler` — online pool resize racing
 # posts, steals and parallel_for; a retirement that loses or double-runs
 # a task trips tsan and the exactly-once asserts)
