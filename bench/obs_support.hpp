@@ -16,8 +16,8 @@
 #include <string_view>
 #include <utility>
 
-#include "apar/aop/trace.hpp"
 #include "apar/obs/metrics.hpp"
+#include "apar/obs/trace_aspect.hpp"
 #include "apar/sieve/prime_filter.hpp"
 
 namespace apar::bench {
@@ -36,9 +36,9 @@ inline bool obs_metrics_requested() {
 
 /// Tracer shared by every traced harness in this bench process, so all
 /// reps land in one timeline.
-inline const std::shared_ptr<aop::Tracer>& obs_tracer() {
-  static const std::shared_ptr<aop::Tracer> tracer =
-      std::make_shared<aop::Tracer>();
+inline const std::shared_ptr<obs::Tracer>& obs_tracer() {
+  static const std::shared_ptr<obs::Tracer> tracer =
+      std::make_shared<obs::Tracer>();
   return tracer;
 }
 
@@ -46,7 +46,7 @@ inline const std::shared_ptr<aop::Tracer>& obs_tracer() {
 /// points into `ctx`, feeding obs_tracer(). Returns whether it attached.
 inline bool obs_attach_trace(aop::Context& ctx) {
   if (obs_env("APAR_TRACE_OUT") == nullptr) return false;
-  auto trace = std::make_shared<aop::TraceAspect<sieve::PrimeFilter>>(
+  auto trace = std::make_shared<obs::TraceAspect<sieve::PrimeFilter>>(
       "BenchTrace", obs_tracer());
   trace->trace_method<&sieve::PrimeFilter::process>()
       .trace_method<&sieve::PrimeFilter::filter>()

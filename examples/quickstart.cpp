@@ -14,10 +14,11 @@
 #include <string>
 
 #include "apar/aop/aop.hpp"
-#include "apar/aop/trace.hpp"
+#include "apar/obs/trace_aspect.hpp"
 #include "apar/strategies/concurrency_aspect.hpp"
 
 namespace aop = apar::aop;
+namespace obs = apar::obs;
 
 // --------------------------------------------------------------------------
 // Core functionality (paper Figure 1) — knows nothing about aspects.
@@ -105,8 +106,8 @@ int main() {
 
   std::printf(
       "\n5) plug a Trace aspect — the paper's interaction diagrams, live:\n");
-  auto tracer = std::make_shared<aop::Tracer>();
-  auto trace = std::make_shared<aop::TraceAspect<Point>>(tracer);
+  auto tracer = std::make_shared<obs::Tracer>();
+  auto trace = std::make_shared<obs::TraceAspect<Point>>(tracer);
   trace->trace_method<&Point::moveX>().trace_method<&Point::moveY>();
   ctx.attach(trace);
   ctx.call<&Point::moveX>(p, 1);

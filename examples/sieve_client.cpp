@@ -20,12 +20,12 @@
 #include <vector>
 
 #include "apar/aop/context.hpp"
-#include "apar/aop/trace.hpp"
 #include "apar/common/config.hpp"
 #include "apar/common/stopwatch.hpp"
 #include "apar/common/table.hpp"
 #include "apar/net/error.hpp"
 #include "apar/net/tcp_middleware.hpp"
+#include "apar/obs/trace_aspect.hpp"
 #include "apar/serial/archive.hpp"
 #include "apar/sieve/prime_filter.hpp"
 #include "apar/sieve/versions.hpp"
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   // spans the middleware records on its own.
   if (obs::tracing_enabled()) {
     auto trace =
-        std::make_shared<aop::TraceAspect<sv::PrimeFilter>>("Trace",
+        std::make_shared<obs::TraceAspect<sv::PrimeFilter>>("Trace",
                                                             obs::Tracer::global());
     trace->trace_method<&sv::PrimeFilter::process>()
         .trace_method<&sv::PrimeFilter::filter>()

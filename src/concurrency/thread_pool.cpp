@@ -374,14 +374,10 @@ void ThreadPool::run_node(TaskNode* node) {
     // queue pressure becomes visible in the timeline, not just as a
     // histogram. Both boundary events share one fresh context so they
     // pair exactly even among same-named neighbours.
-    const obs::TraceContext wait_ctx = obs::TraceContext::child_of(node->ctx);
-    auto& tracer = *obs::Tracer::global();
-    tracer.record({node->enqueued, std::this_thread::get_id(),
-                   "threadpool.queue_wait", nullptr,
-                   obs::TraceEvent::Phase::kEnter, wait_ctx});
-    tracer.record({started, std::this_thread::get_id(),
-                   "threadpool.queue_wait", nullptr,
-                   obs::TraceEvent::Phase::kExit, wait_ctx});
+    obs::SpanRecord wait(*obs::Tracer::global(), "threadpool.queue_wait",
+                         nullptr, obs::TraceContext::child_of(node->ctx),
+                         node->enqueued);
+    wait.close(nullptr, started);
   }
   // A fire-and-forget task that throws must not take the process down
   // (an escaped exception on a worker thread is std::terminate). This

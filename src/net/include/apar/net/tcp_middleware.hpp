@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "apar/cache/sharded_lru.hpp"
 #include "apar/cluster/fabric.hpp"
 #include "apar/cluster/middleware.hpp"
 #include "apar/net/connection_pool.hpp"
@@ -57,14 +56,6 @@ class TcpMiddleware final : public cluster::Middleware {
     std::size_t max_lookup_retries = 3;
     std::chrono::milliseconds backoff_initial{10};
     std::chrono::milliseconds backoff_max{500};
-    /// Cache positive registry lookups in a ShardedLru with this many
-    /// entries (0 disables): a name is resolved over the wire once, every
-    /// later lookup is answered locally. bind_name() through this
-    /// middleware invalidates its own entry; a rebind by ANOTHER process
-    /// is only seen once lookup_cache_ttl lapses, so set a TTL whenever
-    /// several writers share the registry.
-    std::size_t lookup_cache_entries = 0;
-    std::chrono::milliseconds lookup_cache_ttl{0};  ///< 0 = no expiry
     std::string name = "TCP";
   };
 
@@ -129,12 +120,6 @@ class TcpMiddleware final : public cluster::Middleware {
   [[nodiscard]] NetCounters net_counters() const;
   [[nodiscard]] ConnectionPool& pool() { return pool_; }
 
-  /// Lookup-cache traffic (hits mean registry round-trips not taken);
-  /// null when Options::lookup_cache_entries is 0.
-  [[nodiscard]] const cache::CacheStats* lookup_cache_stats() const {
-    return lookup_cache_ ? &lookup_cache_->stats() : nullptr;
-  }
-
  private:
   struct Exchange {
     FrameHeader header;
@@ -161,9 +146,6 @@ class TcpMiddleware final : public cluster::Middleware {
   cluster::CostModel costs_{};  ///< TCP costs are real; nothing is charged
   cluster::MiddlewareStats stats_;
   ConnectionPool pool_;
-  /// Positive registry-lookup results, name -> handle; null when disabled.
-  std::unique_ptr<cache::ShardedLru<std::string, cluster::RemoteHandle>>
-      lookup_cache_;
   std::atomic<std::uint64_t> next_request_id_{1};
   /// Per-endpoint "ever dialed" flags: a dial after the first is a
   /// reconnect (the previous connection went away).

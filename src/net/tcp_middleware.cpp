@@ -18,15 +18,6 @@ TcpMiddleware::TcpMiddleware(Options options)
     throw NetError(NetError::Kind::kConnect,
                    "TcpMiddleware needs at least one endpoint");
   dialed_ = std::make_unique<std::atomic<bool>[]>(options_.endpoints.size());
-  if (options_.lookup_cache_entries > 0) {
-    cache::ShardedLru<std::string, cluster::RemoteHandle>::Options co;
-    co.shards = 4;
-    co.max_entries = options_.lookup_cache_entries;
-    co.ttl = options_.lookup_cache_ttl;
-    co.name = name_ + ".lookup";
-    lookup_cache_ = std::make_unique<
-        cache::ShardedLru<std::string, cluster::RemoteHandle>>(std::move(co));
-  }
   if (obs::metrics_enabled()) {
     auto& reg = obs::MetricsRegistry::global();
     probes_.reserve(options_.endpoints.size());
@@ -66,27 +57,15 @@ TcpMiddleware::Exchange TcpMiddleware::roundtrip(
   const obs::TraceContext wire_ctx =
       obs::TraceContext::child_of(obs::current_context());
   append_trace_context(payload, wire_ctx);
-  const std::string sig = "net." + std::string(op_name(op));
-  auto& tracer = *obs::Tracer::global();
-  tracer.record({std::chrono::steady_clock::now(),
-                 std::this_thread::get_id(), sig, nullptr,
-                 obs::TraceEvent::Phase::kEnter, wire_ctx});
+  obs::SpanRecord span(*obs::Tracer::global(),
+                       "net." + std::string(op_name(op)), nullptr, wire_ctx);
   try {
     Exchange ex = exchange(endpoint_index, op, std::move(payload),
                            FrameHeader::kFlagTraceContext);
-    tracer.record({std::chrono::steady_clock::now(),
-                   std::this_thread::get_id(), sig, nullptr,
-                   obs::TraceEvent::Phase::kExit, wire_ctx});
+    span.close();
     return ex;
   } catch (const cluster::rpc::RpcError&) {
-    tracer.record({std::chrono::steady_clock::now(),
-                   std::this_thread::get_id(), sig, nullptr,
-                   obs::TraceEvent::Phase::kExit, wire_ctx});
-    throw;
-  } catch (...) {
-    tracer.record({std::chrono::steady_clock::now(),
-                   std::this_thread::get_id(), sig, nullptr,
-                   obs::TraceEvent::Phase::kError, wire_ctx});
+    span.close();
     throw;
   }
 }
@@ -248,12 +227,6 @@ std::optional<cluster::RemoteHandle> TcpMiddleware::lookup(
     std::string_view name) {
   stats_.lookups.fetch_add(1, std::memory_order_relaxed);
 
-  // A cached positive binding answers without touching the wire at all —
-  // no frame, no bytes, no registry contention.
-  if (lookup_cache_) {
-    if (auto cached = lookup_cache_->get(std::string(name))) return *cached;
-  }
-
   auto backoff = options_.backoff_initial;
   for (std::size_t attempt = 0;; ++attempt) {
     std::vector<std::byte> payload;
@@ -270,9 +243,6 @@ std::optional<cluster::RemoteHandle> TcpMiddleware::lookup(
       handle.node = env.u32();
       handle.object = env.u64();
       if (!found) return std::nullopt;
-      // Only positive results are cached: a miss may be a racing bind,
-      // and re-asking is cheap relative to wrongly remembering absence.
-      if (lookup_cache_) lookup_cache_->put(std::string(name), handle);
       return handle;
     } catch (const NetError& e) {
       // Protocol corruption is not transient, and running out of retry
@@ -295,8 +265,6 @@ void TcpMiddleware::bind_name(std::string name,
   put_u32(payload, handle.node);
   put_u64(payload, handle.object);
   (void)roundtrip(0, FrameHeader::Op::kBind, std::move(payload));
-  // This writer's own rebind must be visible to its next lookup.
-  if (lookup_cache_) lookup_cache_->erase(name);
 }
 
 std::string TcpMiddleware::telemetry(cluster::NodeId node, bool include_trace,

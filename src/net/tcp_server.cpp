@@ -100,10 +100,11 @@ ReplyAction TcpServer::process_request(const FrameHeader& header,
   // Serve span: child of the caller's wire span when the frame carries a
   // trace trailer, a fresh root otherwise. Installed around the dispatch
   // so server-side aspects and pool tasks parent to this request. The
-  // boundary events are recorded after the fact with the saved t0 —
-  // spans() orders by timestamp, so nesting renders correctly.
+  // boundary events are recorded after the fact with the saved t0 (the
+  // signature is only known once the method is decoded) — spans() orders
+  // by timestamp, so nesting renders correctly.
   const auto t0 = std::chrono::steady_clock::now();
-  std::optional<obs::SpanScope> span;
+  std::optional<obs::SpanScope> scope;
   std::string span_sig = "serve." + std::string(op_name(header.op));
   bool failed = false;
 
@@ -113,13 +114,13 @@ ReplyAction TcpServer::process_request(const FrameHeader& header,
       const obs::TraceContext remote =
           read_trace_context(payload.data(), payload.size());
       body_size -= FrameHeader::kTraceContextSize;
-      if (obs::tracing_enabled()) span.emplace(remote);
+      if (obs::tracing_enabled()) scope.emplace(remote);
     } else if (obs::tracing_enabled() &&
                header.op != FrameHeader::Op::kTelemetry) {
       // Untraced peers still get (root) serve spans — except for bare
       // telemetry polls: the observability plane must not fill a traced
       // server's ring with its own scrape traffic.
-      span.emplace(obs::current_context());
+      scope.emplace(obs::current_context());
     }
     EnvelopeReader env(payload.data(), body_size);
     switch (header.op) {
@@ -179,17 +180,12 @@ ReplyAction TcpServer::process_request(const FrameHeader& header,
     failed = true;
   }
 
-  if (span) {
-    auto& tracer = *obs::Tracer::global();
-    const auto tid = std::this_thread::get_id();
-    tracer.record({t0, tid, span_sig, nullptr,
-                   obs::TraceEvent::Phase::kEnter, span->context()});
-    tracer.record({std::chrono::steady_clock::now(), tid, span_sig, nullptr,
-                   failed ? obs::TraceEvent::Phase::kError
-                          : obs::TraceEvent::Phase::kExit,
-                   span->context()});
-    span.reset();  // restore the worker's ambient context before the reply
+  if (scope) {
+    obs::SpanRecord span(*obs::Tracer::global(), std::move(span_sig), nullptr,
+                         scope->context(), t0);
+    if (!failed) span.close();  // a failed dispatch closes as kError
   }
+  scope.reset();  // restore the worker's ambient context before the reply
 
   if (seq <= options_.chaos_stall_frames &&
       options_.chaos_stall_ms.count() > 0) {

@@ -4,7 +4,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "apar/aop/aspect.hpp"
@@ -58,40 +57,28 @@ class ProfilingAspect : public aop::Aspect {
     this->template around_method<M>(
         order_, aop::Scope::any(), [probe, sig](auto& inv) {
           const auto t0 = std::chrono::steady_clock::now();
-          const void* target = inv.target().identity();
-          std::optional<SpanScope> span;
+          std::optional<SpanScope> scope;
+          std::optional<SpanRecord> span;
           if (tracing_enabled()) {
-            span.emplace();
-            Tracer::global()->record({t0, std::this_thread::get_id(), sig,
-                                      target, TraceEvent::Phase::kEnter,
-                                      span->context()});
+            scope.emplace();
+            span.emplace(*Tracer::global(), sig, inv.target().identity(),
+                         scope->context(), t0);
           }
-          auto close = [&](bool error) {
-            if (span) {
-              Tracer::global()->record({std::chrono::steady_clock::now(),
-                                        std::this_thread::get_id(), sig,
-                                        target,
-                                        error ? TraceEvent::Phase::kError
-                                              : TraceEvent::Phase::kExit,
-                                        span->context()});
-            }
-          };
           using R = decltype(inv.proceed());
           try {
             if constexpr (std::is_void_v<R>) {
               inv.proceed();
               probe.finish(t0, /*error=*/false);
-              close(false);
+              if (span) span->close();
             } else {
               R result = inv.proceed();
               probe.finish(t0, /*error=*/false);
-              close(false);
+              if (span) span->close();
               return result;
             }
           } catch (...) {
             probe.finish(t0, /*error=*/true);
-            close(true);
-            throw;
+            throw;  // the still-open span records kError as it unwinds
           }
         });
     return *this;
@@ -106,31 +93,20 @@ class ProfilingAspect : public aop::Aspect {
         order_, aop::Scope::any(),
         [probe, sig](aop::CtorInvocation<T, std::decay_t<CtorArgs>...>& inv) {
           const auto t0 = std::chrono::steady_clock::now();
-          std::optional<SpanScope> span;
+          std::optional<SpanScope> scope;
+          std::optional<SpanRecord> span;
           if (tracing_enabled()) {
-            span.emplace();
-            Tracer::global()->record({t0, std::this_thread::get_id(), sig,
-                                      nullptr, TraceEvent::Phase::kEnter,
-                                      span->context()});
+            scope.emplace();
+            span.emplace(*Tracer::global(), sig, nullptr, scope->context(),
+                         t0);
           }
-          auto close = [&](const void* identity, bool error) {
-            if (span) {
-              Tracer::global()->record({std::chrono::steady_clock::now(),
-                                        std::this_thread::get_id(), sig,
-                                        identity,
-                                        error ? TraceEvent::Phase::kError
-                                              : TraceEvent::Phase::kExit,
-                                        span->context()});
-            }
-          };
           try {
             auto ref = inv.proceed();
             probe.finish(t0, /*error=*/false);
-            close(ref.identity(), false);
+            if (span) span->close(ref.identity());
             return ref;
           } catch (...) {
             probe.finish(t0, /*error=*/true);
-            close(nullptr, true);
             throw;
           }
         });

@@ -77,7 +77,8 @@ class Tracer {
   [[nodiscard]] std::size_t capacity() const;
   /// Resize the ring; shrinking evicts oldest events (counted as dropped).
   void set_capacity(std::size_t capacity);
-  /// Exact count of events evicted by the ring since construction.
+  /// Exact count of events evicted by the ring since construction, plus
+  /// any a SpanRecord could not store because allocation failed.
   [[nodiscard]] std::uint64_t dropped_events() const;
 
   /// Matched enter/exit pairs as duration spans, in start order. An exit
@@ -135,7 +136,12 @@ class Tracer {
   static const std::shared_ptr<Tracer>& global();
 
  private:
+  friend class SpanRecord;
+
   void note_dropped_locked(std::uint64_t n) APAR_REQUIRES(mutex_);
+  /// Count one event lost to a failed allocation as dropped, without
+  /// allocating (the registry mirror is bumped only if it already exists).
+  void note_lost_event() noexcept;
 
   mutable common::Mutex mutex_;
   std::deque<TraceEvent> events_ APAR_GUARDED_BY(mutex_);
@@ -143,6 +149,39 @@ class Tracer {
   std::uint64_t dropped_ APAR_GUARDED_BY(mutex_) = 0;
   /// Lazy registry mirror (created under mutex_ on first drop).
   std::shared_ptr<class Counter> dropped_counter_ APAR_GUARDED_BY(mutex_);
+};
+
+/// RAII record of one span's boundaries — the only place outside Tracer
+/// that builds TraceEvents. Construction records kEnter (stamped now, or
+/// at an explicit `start` for a span recorded after the fact); close()
+/// records kExit; destruction without a close records kError, so a span
+/// left by unwinding closes as a failure with no catch at the probe.
+///
+/// It records and nothing more: installing the span's context on the
+/// thread (SpanScope) stays with the caller, since wire and queue-wait
+/// spans are recorded but never installed.
+class SpanRecord {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  SpanRecord(Tracer& tracer, std::string signature, const void* target,
+             const TraceContext& ctx, Clock::time_point start = Clock::now());
+  SpanRecord(const SpanRecord&) = delete;
+  SpanRecord& operator=(const SpanRecord&) = delete;
+  ~SpanRecord();
+
+  /// Record kExit at `when`, for `target` (a creation learns its identity
+  /// only on exit; the error path keeps the construction target). Only
+  /// the first close records.
+  void close() { close(target_); }
+  void close(const void* target, Clock::time_point when = Clock::now());
+
+ private:
+  Tracer* tracer_;
+  std::string signature_;
+  const void* target_;
+  TraceContext ctx_;
+  bool open_ = true;
 };
 
 }  // namespace apar::obs

@@ -37,6 +37,12 @@ void Tracer::note_dropped_locked(std::uint64_t n) {
   if (dropped_counter_) dropped_counter_->add(n);
 }
 
+void Tracer::note_lost_event() noexcept {
+  common::MutexLock lock(mutex_);
+  ++dropped_;
+  if (dropped_counter_) dropped_counter_->add(1);
+}
+
 void Tracer::record(TraceEvent event) {
   common::MutexLock lock(mutex_);
   if (events_.size() >= capacity_) {
@@ -46,6 +52,37 @@ void Tracer::record(TraceEvent event) {
     note_dropped_locked(evict);
   }
   events_.push_back(std::move(event));
+}
+
+SpanRecord::SpanRecord(Tracer& tracer, std::string signature,
+                       const void* target, const TraceContext& ctx,
+                       Clock::time_point start)
+    : tracer_(&tracer),
+      signature_(std::move(signature)),
+      target_(target),
+      ctx_(ctx) {
+  tracer_->record({start, std::this_thread::get_id(), signature_, target_,
+                   TraceEvent::Phase::kEnter, ctx_});
+}
+
+SpanRecord::~SpanRecord() {
+  if (!open_) return;
+  try {
+    tracer_->record({Clock::now(), std::this_thread::get_id(),
+                     std::move(signature_), target_,
+                     TraceEvent::Phase::kError, ctx_});
+  } catch (...) {
+    // A destructor must not throw (this one often runs during unwinding):
+    // an event that could not be stored is counted as dropped instead.
+    tracer_->note_lost_event();
+  }
+}
+
+void SpanRecord::close(const void* target, Clock::time_point when) {
+  if (!open_) return;
+  open_ = false;
+  tracer_->record({when, std::this_thread::get_id(), std::move(signature_),
+                   target, TraceEvent::Phase::kExit, ctx_});
 }
 
 std::vector<TraceEvent> Tracer::events() const {

@@ -6,7 +6,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -69,12 +68,7 @@ class DynamicFarmAspect : public aop::Aspect {
   }
 
   std::vector<E> gather_results(aop::Context& ctx) {
-    std::vector<E> all;
-    for (auto& worker : workers_) {
-      std::vector<E> part = ctx.template call<&T::take_results>(worker);
-      all.insert(all.end(), part.begin(), part.end());
-    }
-    return all;
+    return strategies::gather_results<E>(ctx, workers_);
   }
 
   /// Packs processed so far, per worker index (diagnostic: shows the load
@@ -97,22 +91,14 @@ class DynamicFarmAspect : public aop::Aspect {
         aop::order::kPartitionSplit, aop::Scope::core_only(),
         [this](aop::CtorInvocation<T, std::decay_t<CtorArgs>...>& inv) {
           stop_workers();
-          workers_.clear();
-          const std::size_t k = options_.duplicates ? options_.duplicates : 1;
-          for (std::size_t i = 0; i < k; ++i) {
-            auto args = options_.ctor_args(i, k, inv.args());
-            workers_.push_back(std::apply(
-                [&](auto&&... a) {
-                  return inv.proceed_with(std::forward<decltype(a)>(a)...);
-                },
-                std::move(args)));
-          }
+          auto first = duplicate_creation(inv, options_.duplicates,
+                                          options_.ctor_args, workers_);
           {
             std::lock_guard lock(pending_mutex_);
-            packs_per_worker_.assign(k, 0);
+            packs_per_worker_.assign(workers_.size(), 0);
           }
           start_workers(inv.context());
-          return workers_.front();
+          return first;
         });
   }
 

@@ -5,7 +5,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -71,12 +70,7 @@ class FarmAspect : public aop::Aspect {
 
   /// Concatenated take_results() of all workers.
   std::vector<E> gather_results(aop::Context& ctx) {
-    std::vector<E> all;
-    for (auto& worker : workers_) {
-      std::vector<E> part = ctx.template call<&T::take_results>(worker);
-      all.insert(all.end(), part.begin(), part.end());
-    }
-    return all;
+    return strategies::gather_results<E>(ctx, workers_);
   }
 
  private:
@@ -84,17 +78,8 @@ class FarmAspect : public aop::Aspect {
     this->template around_new<T, std::decay_t<CtorArgs>...>(
         aop::order::kPartitionSplit, aop::Scope::core_only(),
         [this](aop::CtorInvocation<T, std::decay_t<CtorArgs>...>& inv) {
-          workers_.clear();
-          const std::size_t k = options_.duplicates ? options_.duplicates : 1;
-          for (std::size_t i = 0; i < k; ++i) {
-            auto args = options_.ctor_args(i, k, inv.args());
-            workers_.push_back(std::apply(
-                [&](auto&&... a) {
-                  return inv.proceed_with(std::forward<decltype(a)>(a)...);
-                },
-                std::move(args)));
-          }
-          return workers_.front();
+          return duplicate_creation(inv, options_.duplicates,
+                                    options_.ctor_args, workers_);
         });
   }
 

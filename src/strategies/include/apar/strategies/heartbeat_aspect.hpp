@@ -2,7 +2,6 @@
 
 #include <concepts>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -81,17 +80,8 @@ class HeartbeatAspect : public aop::Aspect {
     this->template around_new<T, std::decay_t<CtorArgs>...>(
         aop::order::kPartitionSplit, aop::Scope::core_only(),
         [this](aop::CtorInvocation<T, std::decay_t<CtorArgs>...>& inv) {
-          bands_.clear();
-          const std::size_t k = options_.bands ? options_.bands : 1;
-          for (std::size_t i = 0; i < k; ++i) {
-            auto args = options_.ctor_args(i, k, inv.args());
-            bands_.push_back(std::apply(
-                [&](auto&&... a) {
-                  return inv.proceed_with(std::forward<decltype(a)>(a)...);
-                },
-                std::move(args)));
-          }
-          return bands_.front();
+          return duplicate_creation(inv, options_.bands, options_.ctor_args,
+                                    bands_);
         });
   }
 

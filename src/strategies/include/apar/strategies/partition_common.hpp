@@ -3,7 +3,10 @@
 #include <cstddef>
 #include <functional>
 #include <tuple>
+#include <utility>
 #include <vector>
+
+#include "apar/aop/aop.hpp"
 
 namespace apar::strategies {
 
@@ -37,6 +40,38 @@ template <class... CtorArgs>
 CtorPartitioner<CtorArgs...> broadcast_ctor_args() {
   return [](std::size_t, std::size_t,
             const std::tuple<CtorArgs...>& original) { return original; };
+}
+
+/// Object duplication (paper Figure 8): refill `into` with `count` (at
+/// least one) creations through the intercepted `inv`, each constructed
+/// with the arguments `ctor_args` derives for its index. Returns the first
+/// duplicate — the reference core code receives.
+template <class Invocation, class Partitioner, class Ref>
+Ref duplicate_creation(Invocation& inv, std::size_t count,
+                       const Partitioner& ctor_args, std::vector<Ref>& into) {
+  into.clear();
+  const std::size_t k = count ? count : 1;
+  for (std::size_t i = 0; i < k; ++i) {
+    into.push_back(std::apply(
+        [&](auto&&... a) {
+          return inv.proceed_with(std::forward<decltype(a)>(a)...);
+        },
+        ctor_args(i, k, inv.args())));
+  }
+  return into.front();
+}
+
+/// Result gathering: take_results() from every duplicate, concatenated in
+/// order. Goes through the weaving context so remote duplicates work.
+template <class E, class T>
+std::vector<E> gather_results(aop::Context& ctx,
+                              const std::vector<aop::Ref<T>>& duplicates) {
+  std::vector<E> all;
+  for (const auto& d : duplicates) {
+    std::vector<E> part = ctx.template call<&T::take_results>(d);
+    all.insert(all.end(), part.begin(), part.end());
+  }
+  return all;
 }
 
 }  // namespace apar::strategies

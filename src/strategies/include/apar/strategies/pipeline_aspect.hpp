@@ -2,7 +2,6 @@
 
 #include <map>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -58,12 +57,7 @@ class PipelineAspect : public aop::Aspect {
   /// Drain results: take_results() from every stage, concatenated in stage
   /// order. Goes through the weaving context so remote stages work.
   std::vector<E> gather_results(aop::Context& ctx) {
-    std::vector<E> all;
-    for (auto& stage : stages_) {
-      std::vector<E> part = ctx.template call<&T::take_results>(stage);
-      all.insert(all.end(), part.begin(), part.end());
-    }
-    return all;
+    return strategies::gather_results<E>(ctx, stages_);
   }
 
  private:
@@ -71,21 +65,12 @@ class PipelineAspect : public aop::Aspect {
     this->template around_new<T, std::decay_t<CtorArgs>...>(
         aop::order::kPartitionSplit, aop::Scope::core_only(),
         [this](aop::CtorInvocation<T, std::decay_t<CtorArgs>...>& inv) {
-          stages_.clear();
           next_.clear();
-          const std::size_t k = options_.duplicates ? options_.duplicates : 1;
-          for (std::size_t i = 0; i < k; ++i) {
-            auto args = options_.ctor_args(i, k, inv.args());
-            auto ref = std::apply(
-                [&](auto&&... a) {
-                  return inv.proceed_with(
-                      std::forward<decltype(a)>(a)...);
-                },
-                std::move(args));
-            if (i > 0) next_[stages_.back().identity()] = ref;
-            stages_.push_back(std::move(ref));
-          }
-          return stages_.front();
+          auto first = duplicate_creation(inv, options_.duplicates,
+                                          options_.ctor_args, stages_);
+          for (std::size_t i = 1; i < stages_.size(); ++i)
+            next_[stages_[i - 1].identity()] = stages_[i];
+          return first;
         });
   }
 

@@ -5,17 +5,18 @@
 
 #include <memory>
 
-#include "apar/aop/trace.hpp"
+#include "apar/obs/trace_aspect.hpp"
 #include "fixtures.hpp"
 
 namespace aop = apar::aop;
+namespace obs = apar::obs;
 using apar::test::Worker;
 
 namespace {
 
-std::shared_ptr<aop::TraceAspect<Worker>> make_trace(
-    std::shared_ptr<aop::Tracer> tracer) {
-  auto trace = std::make_shared<aop::TraceAspect<Worker>>(tracer);
+std::shared_ptr<obs::TraceAspect<Worker>> make_trace(
+    std::shared_ptr<obs::Tracer> tracer) {
+  auto trace = std::make_shared<obs::TraceAspect<Worker>>(tracer);
   trace->trace_method<&Worker::process>()
       .trace_method<&Worker::compute>()
       .template trace_new<int>();
@@ -25,7 +26,7 @@ std::shared_ptr<aop::TraceAspect<Worker>> make_trace(
 }  // namespace
 
 TEST(TraceAspect, RecordsEnterAndExit) {
-  auto tracer = std::make_shared<aop::Tracer>();
+  auto tracer = std::make_shared<obs::Tracer>();
   aop::Context ctx;
   ctx.attach(make_trace(tracer));
   auto w = ctx.create<Worker>(1);
@@ -37,7 +38,7 @@ TEST(TraceAspect, RecordsEnterAndExit) {
 }
 
 TEST(TraceAspect, ErrorPhaseOnThrow) {
-  auto tracer = std::make_shared<aop::Tracer>();
+  auto tracer = std::make_shared<obs::Tracer>();
   aop::Context ctx;
   ctx.attach(make_trace(tracer));
   auto veto = std::make_shared<aop::Aspect>("veto");
@@ -49,13 +50,13 @@ TEST(TraceAspect, ErrorPhaseOnThrow) {
   std::vector<int> pack{1};
   EXPECT_THROW(ctx.call<&Worker::process>(w, pack), std::runtime_error);
   const auto events = tracer->events();
-  EXPECT_EQ(events.back().phase, aop::TraceEvent::Phase::kError);
+  EXPECT_EQ(events.back().phase, obs::TraceEvent::Phase::kError);
 }
 
 TEST(TraceAspect, FailedCreationClosesItsSpan) {
   // A creation that throws below the trace (e.g. a remote create over a
   // dead connection) must close its span with kError, not leave it open.
-  auto tracer = std::make_shared<aop::Tracer>();
+  auto tracer = std::make_shared<obs::Tracer>();
   aop::Context ctx;
   ctx.attach(make_trace(tracer));
   auto veto = std::make_shared<aop::Aspect>("veto");
@@ -68,14 +69,14 @@ TEST(TraceAspect, FailedCreationClosesItsSpan) {
   EXPECT_THROW(ctx.create<Worker>(1), std::runtime_error);
   std::size_t errors = 0;
   for (const auto& e : tracer->events())
-    if (e.phase == aop::TraceEvent::Phase::kError) ++errors;
+    if (e.phase == obs::TraceEvent::Phase::kError) ++errors;
   EXPECT_EQ(errors, 1u);
   EXPECT_EQ(tracer->calls("Worker.new"), 1u);
   EXPECT_EQ(tracer->open_spans(), 0u);
 }
 
 TEST(TraceAspect, SequentialRunUsesOneThread) {
-  auto tracer = std::make_shared<aop::Tracer>();
+  auto tracer = std::make_shared<obs::Tracer>();
   aop::Context ctx;
   ctx.attach(make_trace(tracer));
   auto w = ctx.create<Worker>(1);
@@ -87,10 +88,10 @@ TEST(TraceAspect, SequentialRunUsesOneThread) {
 TEST(TraceAspect, ConcurrencyAspectShowsUpAsManyThreads) {
   // The observable difference between Figure 6 (sequential) and Figure 11
   // (woven with concurrency): the same core calls now run on new threads.
-  auto tracer = std::make_shared<aop::Tracer>();
+  auto tracer = std::make_shared<obs::Tracer>();
   aop::Context ctx;
   // Trace INSIDE the async boundary so events carry the worker threads.
-  auto trace = std::make_shared<aop::TraceAspect<Worker>>(
+  auto trace = std::make_shared<obs::TraceAspect<Worker>>(
       "Trace", tracer, aop::order::kConcurrencyAsync + 10);
   trace->trace_method<&Worker::process>();
   ctx.attach(trace);
@@ -112,7 +113,7 @@ TEST(TraceAspect, ConcurrencyAspectShowsUpAsManyThreads) {
 }
 
 TEST(TraceAspect, DiagramAndSummaryRender) {
-  auto tracer = std::make_shared<aop::Tracer>();
+  auto tracer = std::make_shared<obs::Tracer>();
   aop::Context ctx;
   ctx.attach(make_trace(tracer));
   auto a = ctx.create<Worker>(1);
@@ -138,20 +139,20 @@ TEST(TraceAspect, DiagramAndSummaryRender) {
 TEST(TraceAspect, DiagramKeepsLongSignaturesIntact) {
   // Regression: the diagram used a 160-char snprintf line buffer, so long
   // signatures (and anything after them) were silently truncated.
-  aop::Tracer tracer;
+  obs::Tracer tracer;
   const std::string long_sig =
       "VeryLongTemplateInstantiationName<WithNestedParameters, "
       "AndMoreParameters, AndEvenMoreParametersToPushWellPastTheOldLimit>."
       "a_method_name_that_is_itself_quite_long_for_good_measure";
   ASSERT_GT(long_sig.size(), 160u);
-  aop::TraceEvent enter;
+  obs::TraceEvent enter;
   enter.when = std::chrono::steady_clock::now();
   enter.thread = std::this_thread::get_id();
   enter.signature = long_sig;
-  enter.phase = aop::TraceEvent::Phase::kEnter;
-  aop::TraceEvent exit = enter;
+  enter.phase = obs::TraceEvent::Phase::kEnter;
+  obs::TraceEvent exit = enter;
   exit.when = enter.when + std::chrono::microseconds(5);
-  exit.phase = aop::TraceEvent::Phase::kExit;
+  exit.phase = obs::TraceEvent::Phase::kExit;
   tracer.record(enter);
   tracer.record(exit);
 
@@ -161,7 +162,7 @@ TEST(TraceAspect, DiagramKeepsLongSignaturesIntact) {
 }
 
 TEST(TraceAspect, UnplugRemovesEveryProbe) {
-  auto tracer = std::make_shared<aop::Tracer>();
+  auto tracer = std::make_shared<obs::Tracer>();
   aop::Context ctx;
   ctx.attach(make_trace(tracer));
   auto w = ctx.create<Worker>(1);
@@ -173,7 +174,7 @@ TEST(TraceAspect, UnplugRemovesEveryProbe) {
 }
 
 TEST(TraceAspect, ValueReturningMethodPassesResultThrough) {
-  auto tracer = std::make_shared<aop::Tracer>();
+  auto tracer = std::make_shared<obs::Tracer>();
   aop::Context ctx;
   ctx.attach(make_trace(tracer));
   auto w = ctx.create<Worker>(3);

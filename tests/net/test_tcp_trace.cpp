@@ -11,6 +11,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "apar/cluster/rpc.hpp"
 #include "apar/net/error.hpp"
 #include "apar/obs/trace_context.hpp"
 #include "apar/obs/tracer.hpp"
@@ -106,6 +107,34 @@ TEST(TcpTrace, ServeSpansParentToClientWireSpans) {
   EXPECT_NE(serve_add[0].parent_span_id, serve_get[0].parent_span_id);
   for (const auto& s : {serve_create[0], serve_add[0], serve_get[0]})
     EXPECT_EQ(s.trace_id, root.context().trace_id);
+  expect_consistent(spans, root.context());
+}
+
+TEST(TcpTrace, ServerRpcErrorClosesWireSpanAsExitAndServeSpanAsError) {
+  APAR_REQUIRE_LOOPBACK();
+  TracingOn tracing;
+  TcpRig rig;
+  auto& mw = *rig.middleware;
+
+  const auto handle =
+      mw.create(0, "Counter", as::encode(mw.wire_format(), 1LL));
+  (void)obs::Tracer::global()->take_events();
+  obs::SpanScope root;
+  EXPECT_THROW(
+      mw.invoke(handle, "no_such_method", as::encode(mw.wire_format())),
+      ac::rpc::RpcError);
+
+  EXPECT_EQ(obs::Tracer::global()->open_spans(), 0u);
+  const auto spans = drain_spans();
+  // The wire worked — the server answered kReplyError — so the client
+  // span closes cleanly; the failure belongs to the server's span.
+  const auto wire = named(spans, "net.call");
+  ASSERT_EQ(wire.size(), 1u);
+  EXPECT_FALSE(wire[0].error);
+  const auto serve = named(spans, "serve.no_such_method");
+  ASSERT_EQ(serve.size(), 1u);
+  EXPECT_TRUE(serve[0].error);
+  EXPECT_EQ(serve[0].parent_span_id, wire[0].span_id);
   expect_consistent(spans, root.context());
 }
 

@@ -8,13 +8,33 @@
 #include <vector>
 
 #include "../aop/fixtures.hpp"
+#include "apar/concurrency/thread_pool.hpp"
 #include "apar/obs/profiling_aspect.hpp"
 
 namespace aop = apar::aop;
+namespace concurrency = apar::concurrency;
 namespace obs = apar::obs;
 using apar::test::Worker;
 
 namespace {
+
+/// Span tests record into Tracer::global(): switch tracing on, start from
+/// an empty ring, and always restore the switch.
+struct TracingOn {
+  TracingOn() {
+    obs::set_tracing_enabled(true);
+    (void)obs::Tracer::global()->take_events();
+  }
+  ~TracingOn() { obs::set_tracing_enabled(false); }
+};
+
+std::vector<obs::TraceEvent> events_of(const std::vector<obs::TraceEvent>& all,
+                                       const std::string& signature) {
+  std::vector<obs::TraceEvent> out;
+  for (const auto& e : all)
+    if (e.signature == signature) out.push_back(e);
+  return out;
+}
 
 std::shared_ptr<obs::ProfilingAspect<Worker>> make_profiler(
     obs::MetricsRegistry& registry) {
@@ -118,4 +138,92 @@ TEST(ProfilingAspect, IgnoresMetricsEnabledGate) {
   std::vector<int> pack{1};
   ctx.call<&Worker::process>(w, pack);
   EXPECT_EQ(calls(registry, "Worker.process"), 1u);
+}
+
+TEST(ProfilingAspect, TracedMethodSpanIsCurrentDuringProceed) {
+  TracingOn tracing;
+  obs::MetricsRegistry registry;
+  aop::Context ctx;
+  ctx.attach(make_profiler(registry));
+  concurrency::ThreadPool pool(1);
+  // An inner advice observes the context proceed() runs under and spawns
+  // a pool task from inside it.
+  obs::TraceContext during;
+  obs::TraceContext in_task;
+  auto spawn = std::make_shared<aop::Aspect>("spawn");
+  spawn->around_method<&Worker::compute>(
+      aop::order::kDefault, aop::Scope::any(), [&](auto& inv) {
+        during = obs::current_context();
+        in_task = pool.submit([] { return obs::current_context(); }).get();
+        return inv.proceed();
+      });
+  ctx.attach(spawn);
+  auto w = ctx.create<Worker>(1);
+
+  obs::SpanScope root;
+  EXPECT_EQ(ctx.call<&Worker::compute>(w, 5), 11);
+  EXPECT_EQ(obs::current_context(), root.context());
+
+  EXPECT_EQ(obs::Tracer::global()->open_spans(), 0u);
+  const auto all = obs::Tracer::global()->take_events();
+  const auto compute = events_of(all, "Worker.compute");
+  ASSERT_EQ(compute.size(), 2u);
+  EXPECT_EQ(compute[0].phase, obs::TraceEvent::Phase::kEnter);
+  EXPECT_EQ(compute[1].phase, obs::TraceEvent::Phase::kExit);
+  for (const auto& e : compute) {
+    EXPECT_EQ(e.target, w.identity());
+    EXPECT_EQ(e.ctx, during);
+  }
+  EXPECT_LE(compute[0].when, compute[1].when);
+  EXPECT_EQ(during.trace_id, root.context().trace_id);
+  EXPECT_EQ(during.parent_span_id, root.context().span_id);
+  // The task resumed the profiled span, and its queue wait parents to it.
+  EXPECT_EQ(in_task, during);
+  const auto waits =
+      obs::Tracer::spans_of(events_of(all, "threadpool.queue_wait"));
+  ASSERT_EQ(waits.size(), 1u);
+  EXPECT_EQ(waits[0].parent_span_id, during.span_id);
+}
+
+TEST(ProfilingAspect, TracedThrowingMethodClosesAsError) {
+  TracingOn tracing;
+  obs::MetricsRegistry registry;
+  aop::Context ctx;
+  ctx.attach(make_profiler(registry));
+  auto veto = std::make_shared<aop::Aspect>("veto");
+  veto->around_method<&Worker::process>(
+      aop::order::kDefault, aop::Scope::any(),
+      [](auto&) -> void { throw std::runtime_error("boom"); });
+  ctx.attach(veto);
+  auto w = ctx.create<Worker>(1);
+  std::vector<int> pack{1};
+  EXPECT_THROW(ctx.call<&Worker::process>(w, pack), std::runtime_error);
+
+  EXPECT_EQ(obs::Tracer::global()->open_spans(), 0u);
+  const auto process =
+      events_of(obs::Tracer::global()->take_events(), "Worker.process");
+  ASSERT_EQ(process.size(), 2u);
+  EXPECT_EQ(process[0].phase, obs::TraceEvent::Phase::kEnter);
+  EXPECT_EQ(process[1].phase, obs::TraceEvent::Phase::kError);
+  EXPECT_EQ(process[1].target, w.identity());
+  EXPECT_EQ(process[1].ctx, process[0].ctx);
+  EXPECT_TRUE(process[0].ctx.valid());
+}
+
+TEST(ProfilingAspect, TracedCreationRecordsIdentityOnExit) {
+  TracingOn tracing;
+  obs::MetricsRegistry registry;
+  aop::Context ctx;
+  ctx.attach(make_profiler(registry));
+  auto w = ctx.create<Worker>(7);
+
+  const auto created =
+      events_of(obs::Tracer::global()->take_events(), "Worker.new");
+  ASSERT_EQ(created.size(), 2u);
+  EXPECT_EQ(created[0].phase, obs::TraceEvent::Phase::kEnter);
+  EXPECT_EQ(created[0].target, nullptr);  // no identity before proceed()
+  EXPECT_EQ(created[1].phase, obs::TraceEvent::Phase::kExit);
+  EXPECT_EQ(created[1].target, w.identity());
+  EXPECT_EQ(created[1].ctx, created[0].ctx);
+  EXPECT_TRUE(created[0].ctx.valid());
 }

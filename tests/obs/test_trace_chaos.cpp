@@ -11,9 +11,9 @@
 #include <vector>
 
 #include "../strategies/fixtures.hpp"
-#include "apar/aop/trace.hpp"
 #include "apar/cluster/fault_injection.hpp"
 #include "apar/cluster/middleware.hpp"
+#include "apar/obs/trace_aspect.hpp"
 #include "apar/obs/trace_context.hpp"
 #include "apar/strategies/distribution_aspect.hpp"
 
@@ -50,8 +50,8 @@ struct ChaosRig {
                                                 ac::CostModel::loopback());
     faulty = std::make_unique<ac::FaultInjectingMiddleware>(*inner, fopts);
 
-    tracer = std::make_shared<aop::Tracer>();
-    auto trace = std::make_shared<aop::TraceAspect<SlowStage>>("Trace",
+    tracer = std::make_shared<obs::Tracer>();
+    auto trace = std::make_shared<obs::TraceAspect<SlowStage>>("Trace",
                                                                tracer);
     trace->trace_method<&SlowStage::query>();
     ctx.attach(trace);
@@ -63,13 +63,13 @@ struct ChaosRig {
   std::unique_ptr<ac::Cluster> cluster;
   std::unique_ptr<ac::RmiMiddleware> inner;
   std::unique_ptr<ac::FaultInjectingMiddleware> faulty;
-  std::shared_ptr<aop::Tracer> tracer;
+  std::shared_ptr<obs::Tracer> tracer;
   aop::Context ctx;
 };
 
 /// The invariant every chaos schedule must preserve: no span left open,
 /// every parent id resolves (to a recorded span or the ambient root).
-void expect_no_leaks(const aop::Tracer& tracer,
+void expect_no_leaks(const obs::Tracer& tracer,
                      const obs::TraceContext& root) {
   EXPECT_EQ(tracer.open_spans(), 0u);
   const auto spans = tracer.spans();

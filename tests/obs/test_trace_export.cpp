@@ -8,16 +8,16 @@
 #include <sstream>
 #include <thread>
 
-#include "apar/aop/trace.hpp"
+#include "apar/obs/tracer.hpp"
 
-namespace aop = apar::aop;
+namespace obs = apar::obs;
 
 namespace {
 
-aop::TraceEvent at(long long us, const char* signature,
-                   aop::TraceEvent::Phase phase,
+obs::TraceEvent at(long long us, const char* signature,
+                   obs::TraceEvent::Phase phase,
                    const void* target = nullptr) {
-  aop::TraceEvent e;
+  obs::TraceEvent e;
   e.when = std::chrono::steady_clock::time_point{} +
            std::chrono::microseconds(us);
   e.thread = std::this_thread::get_id();
@@ -27,12 +27,12 @@ aop::TraceEvent at(long long us, const char* signature,
   return e;
 }
 
-using Phase = aop::TraceEvent::Phase;
+using Phase = obs::TraceEvent::Phase;
 
 }  // namespace
 
 TEST(TracerSpans, PairsNestedEnterExit) {
-  aop::Tracer tracer;
+  obs::Tracer tracer;
   tracer.record(at(100, "A.outer", Phase::kEnter));
   tracer.record(at(110, "A.inner", Phase::kEnter));
   tracer.record(at(150, "A.inner", Phase::kExit));
@@ -48,7 +48,7 @@ TEST(TracerSpans, PairsNestedEnterExit) {
 }
 
 TEST(TracerSpans, RecursiveSameSignatureClosesInnermost) {
-  aop::Tracer tracer;
+  obs::Tracer tracer;
   tracer.record(at(0, "A.f", Phase::kEnter));
   tracer.record(at(10, "A.f", Phase::kEnter));
   tracer.record(at(20, "A.f", Phase::kExit));
@@ -60,7 +60,7 @@ TEST(TracerSpans, RecursiveSameSignatureClosesInnermost) {
 }
 
 TEST(TracerSpans, ErrorClosesSpanAndFlagsIt) {
-  aop::Tracer tracer;
+  obs::Tracer tracer;
   tracer.record(at(0, "A.f", Phase::kEnter));
   tracer.record(at(30, "A.f", Phase::kError));
   const auto spans = tracer.spans();
@@ -70,7 +70,7 @@ TEST(TracerSpans, ErrorClosesSpanAndFlagsIt) {
 }
 
 TEST(TracerSpans, UnmatchedEnterOmitted) {
-  aop::Tracer tracer;
+  obs::Tracer tracer;
   tracer.record(at(0, "A.f", Phase::kEnter));
   tracer.record(at(5, "A.g", Phase::kEnter));
   tracer.record(at(9, "A.g", Phase::kExit));
@@ -80,7 +80,7 @@ TEST(TracerSpans, UnmatchedEnterOmitted) {
 }
 
 TEST(ChromeTrace, GoldenSingleThreadShape) {
-  aop::Tracer tracer;
+  obs::Tracer tracer;
   tracer.record(at(100, "A.outer", Phase::kEnter));
   tracer.record(at(110, "A.inner", Phase::kEnter));
   tracer.record(at(150, "A.inner", Phase::kExit));
@@ -96,7 +96,7 @@ TEST(ChromeTrace, GoldenSingleThreadShape) {
 }
 
 TEST(ChromeTrace, ErrorSpanCarriesArgs) {
-  aop::Tracer tracer;
+  obs::Tracer tracer;
   tracer.record(at(0, "A.f", Phase::kEnter));
   tracer.record(at(30, "A.f", Phase::kError));
   const std::string json = tracer.chrome_trace_json();
@@ -104,7 +104,7 @@ TEST(ChromeTrace, ErrorSpanCarriesArgs) {
 }
 
 TEST(ChromeTrace, EscapesSignatureCharacters) {
-  aop::Tracer tracer;
+  obs::Tracer tracer;
   tracer.record(at(0, "A.\"quoted\"", Phase::kEnter));
   tracer.record(at(1, "A.\"quoted\"", Phase::kExit));
   const std::string json = tracer.chrome_trace_json();
@@ -112,12 +112,12 @@ TEST(ChromeTrace, EscapesSignatureCharacters) {
 }
 
 TEST(ChromeTrace, EmptyTracerIsEmptyArray) {
-  aop::Tracer tracer;
+  obs::Tracer tracer;
   EXPECT_EQ(tracer.chrome_trace_json(), "[]");
 }
 
 TEST(ChromeTrace, SecondThreadGetsOwnTid) {
-  aop::Tracer tracer;
+  obs::Tracer tracer;
   tracer.record(at(0, "A.f", Phase::kEnter));
   tracer.record(at(10, "A.f", Phase::kExit));
   std::thread other([&] {
@@ -132,7 +132,7 @@ TEST(ChromeTrace, SecondThreadGetsOwnTid) {
 }
 
 TEST(ChromeTrace, WriteChromeTraceRoundTrips) {
-  aop::Tracer tracer;
+  obs::Tracer tracer;
   tracer.record(at(0, "A.f", Phase::kEnter));
   tracer.record(at(10, "A.f", Phase::kExit));
   const std::string path =
@@ -152,7 +152,7 @@ TEST(ChromeTrace, WriteChromeTraceRoundTrips) {
 }
 
 TEST(ChromeTrace, WriteToUnwritablePathThrows) {
-  aop::Tracer tracer;
+  obs::Tracer tracer;
   EXPECT_THROW(tracer.write_chrome_trace("/nonexistent-dir/trace.json"),
                std::runtime_error);
 }

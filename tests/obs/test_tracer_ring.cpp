@@ -1,11 +1,12 @@
 // The Tracer's bounded ring: capacity enforcement with an EXACT dropped
 // counter (an observability tool that silently lies about loss is worse
 // than none), plus the span-identity features layered on TraceContext —
-// id-based pairing, open-span accounting, and the Chrome exporter's
-// hex id args.
+// id-based pairing, open-span accounting, the Chrome exporter's hex id
+// args, and SpanRecord, the RAII recorder every probe records through.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 
 #include "apar/obs/trace_context.hpp"
@@ -140,6 +141,84 @@ TEST(TracerSpans, LateRecordedEventsSortByTimestamp) {
   EXPECT_EQ(spans[0].signature, "serve.call");
   EXPECT_EQ(spans[0].duration.count(), 30);
   EXPECT_EQ(spans[1].signature, "inner");
+}
+
+TEST(SpanRecord, CloseRecordsOneEnterExitPair) {
+  obs::Tracer tracer;
+  const obs::TraceContext ctx{1, 2, 0};
+  int target = 0;
+  {
+    obs::SpanRecord span(tracer, "A.f", &target, ctx);
+    span.close();
+    span.close();  // only the first close records
+  }
+  const auto events = tracer.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].phase, Phase::kEnter);
+  EXPECT_EQ(events[1].phase, Phase::kExit);
+  for (const auto& e : events) {
+    EXPECT_EQ(e.signature, "A.f");
+    EXPECT_EQ(e.target, &target);
+    EXPECT_EQ(e.ctx, ctx);
+    EXPECT_EQ(e.thread, std::this_thread::get_id());
+  }
+  EXPECT_LE(events[0].when, events[1].when);
+  EXPECT_EQ(tracer.open_spans(), 0u);
+}
+
+TEST(SpanRecord, CloseCanNameTheTargetLearnedOnExit) {
+  obs::Tracer tracer;
+  int created = 0;
+  {
+    obs::SpanRecord span(tracer, "A.new", nullptr, {});
+    span.close(&created);
+  }
+  const auto events = tracer.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].target, nullptr);
+  EXPECT_EQ(events[1].target, &created);
+}
+
+TEST(SpanRecord, UnwindingWithoutCloseRecordsError) {
+  obs::Tracer tracer;
+  const obs::TraceContext ctx{1, 2, 0};
+  int target = 0;
+  EXPECT_THROW(
+      {
+        obs::SpanRecord span(tracer, "A.f", &target, ctx);
+        throw std::runtime_error("boom");
+      },
+      std::runtime_error);
+  const auto events = tracer.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[1].phase, Phase::kError);
+  EXPECT_EQ(events[1].target, &target);  // the construction target
+  EXPECT_EQ(events[1].ctx, ctx);
+  EXPECT_EQ(tracer.open_spans(), 0u);
+  const auto spans = tracer.spans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_TRUE(spans[0].error);
+}
+
+TEST(SpanRecord, ExplicitTimestampsStampBothBoundaries) {
+  obs::Tracer tracer;
+  const auto start = std::chrono::steady_clock::time_point{} +
+                     std::chrono::microseconds(100);
+  const auto end = start + std::chrono::microseconds(25);
+  {
+    obs::SpanRecord span(tracer, "threadpool.queue_wait", nullptr,
+                         {1, 2, 0}, start);
+    span.close(nullptr, end);
+  }
+  const auto events = tracer.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].when, start);
+  EXPECT_EQ(events[1].when, end);
+  const auto spans = tracer.spans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].duration.count(), 25);
+  EXPECT_FALSE(spans[0].error);
+  EXPECT_EQ(tracer.open_spans(), 0u);
 }
 
 TEST(ChromeTrace, SpanIdsExportAsHexStringArgs) {

@@ -40,7 +40,6 @@
 #include "apar/analysis/report.hpp"
 #include "apar/analysis/weave_plan.hpp"
 #include "apar/aop/aop.hpp"
-#include "apar/aop/trace.hpp"
 #include "apar/apps/heat_band.hpp"
 #include "apar/cache/cache_aspect.hpp"
 #include "apar/cluster/cluster.hpp"
@@ -52,6 +51,7 @@
 #include "apar/net/tcp_middleware.hpp"
 #include "apar/obs/metrics.hpp"
 #include "apar/obs/profiling_aspect.hpp"
+#include "apar/obs/trace_aspect.hpp"
 #include "apar/sieve/versions.hpp"
 #include "apar/strategies/concurrency_aspect.hpp"
 #include "apar/strategies/distribution_aspect.hpp"
@@ -66,6 +66,7 @@ namespace cluster = apar::cluster;
 namespace common = apar::common;
 namespace concurrency = apar::concurrency;
 namespace net = apar::net;
+namespace obs = apar::obs;
 namespace sieve = apar::sieve;
 namespace strategies = apar::strategies;
 
@@ -290,13 +291,13 @@ analysis::Report analyze_sieve_tcp_obs() {
   net::TcpFabric fabric(middleware);
 
   aop::Context ctx;
-  auto profiling = std::make_shared<apar::obs::ProfilingAspect<
-      sieve::PrimeFilter>>("Profiling", apar::obs::MetricsRegistry::global());
+  auto profiling = std::make_shared<obs::ProfilingAspect<
+      sieve::PrimeFilter>>("Profiling", obs::MetricsRegistry::global());
   profiling->profile_method<&sieve::PrimeFilter::process>()
       .profile_method<&sieve::PrimeFilter::filter>();
   ctx.attach(profiling);
-  auto trace = std::make_shared<aop::TraceAspect<sieve::PrimeFilter>>(
-      "Trace", aop::Tracer::global());
+  auto trace = std::make_shared<obs::TraceAspect<sieve::PrimeFilter>>(
+      "Trace", obs::Tracer::global());
   trace->trace_method<&sieve::PrimeFilter::process>()
       .trace_method<&sieve::PrimeFilter::filter>()
       .trace_method<&sieve::PrimeFilter::collect>();

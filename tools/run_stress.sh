@@ -6,7 +6,10 @@
 # hands frames to pool workers and flushes their completions back)
 # and the scheduler suite (`-L scheduler` — online pool resize racing
 # posts, steals and parallel_for; a retirement that loses or double-runs
-# a task trips tsan and the exactly-once asserts)
+# a task trips tsan and the exactly-once asserts) and the observability
+# suite (`-L obs` — trace chaos, the tracer ring, span recording and
+# context propagation through the pool, all recording into one shared
+# tracer from many threads)
 # under ThreadSanitizer and AddressSanitizer, and the analysis suite
 # (`-L analysis` — the weave-plan verifier, the effects race passes and
 # the apar-analyze gates) under AddressSanitizer. Any
@@ -42,12 +45,12 @@ for preset in "${presets[@]}"; do
   # are single-threaded: asan is the interesting sanitizer, and skipping
   # them under tsan keeps that (much slower) leg focused on real
   # concurrency.
-  labels='stress|cache|net|scheduler'
+  labels='stress|cache|net|scheduler|obs'
   if [ "$preset" = "asan" ]; then
-    labels='stress|cache|net|scheduler|analysis'
+    labels='stress|cache|net|scheduler|obs|analysis'
   fi
   echo "=== [$preset] ctest -L '$labels' ==="
   ctest --test-dir "build-$preset" -L "$labels" --output-on-failure -j 2
 done
 
-echo "stress + cache + net (+ analysis under asan) suites clean under: ${presets[*]}"
+echo "stress + cache + net + scheduler + obs (+ analysis under asan) suites clean under: ${presets[*]}"
