@@ -13,10 +13,6 @@ std::string_view decision_name(Decision d) {
     case Decision::kRevertShrink: return "revert-shrink";
     case Decision::kGrainCoarsen: return "grain-coarsen";
     case Decision::kGrainRefine: return "grain-refine";
-    case Decision::kFeederDeepen: return "feeder-deepen";
-    case Decision::kFeederShallow: return "feeder-shallow";
-    case Decision::kPromoteFast: return "promote-fast";
-    case Decision::kDemoteFast: return "demote-fast";
   }
   return "unknown";
 }
@@ -29,8 +25,6 @@ AdaptationController::AdaptationController(Config config,
     : cfg_(std::move(config)), registry_(&registry) {
   workers_gauge_ = registry_->gauge("adapt.workers");
   grain_gauge_ = registry_->gauge("adapt.grain");
-  feeder_gauge_ = registry_->gauge("adapt.feeder_depth");
-  routing_gauge_ = registry_->gauge("adapt.routing");
   last_decision_gauge_ = registry_->gauge("adapt.last_decision");
   ticks_counter_ = registry_->counter("adapt.ticks");
   decisions_counter_ = registry_->counter("adapt.decisions");
@@ -47,27 +41,15 @@ void AdaptationController::set_grain_knob(Knob knob) {
   grain_ = std::move(knob);
   publish_gauges();
 }
-void AdaptationController::set_feeder_knob(Knob knob) {
-  feeder_ = std::move(knob);
-  publish_gauges();
-}
-void AdaptationController::set_routing_knob(Knob knob) {
-  routing_ = std::move(knob);
-  publish_gauges();
-}
 
 Signals AdaptationController::sample() {
   window_.advance(*registry_);
   Signals s;
   s.valid = window_.ready();
   if (!s.valid) return s;
-  s.interval_s = window_.seconds();
   s.throughput = window_.counter_rate(cfg_.tasks_metric);
   s.queue_wait_p95_us = window_.histogram_window(cfg_.queue_wait_metric).p95;
   s.run_mean_us = window_.histogram_window(cfg_.run_metric).mean;
-  s.steal_rate = window_.counter_rate(cfg_.steals_metric);
-  s.overflow_rate = window_.counter_rate(cfg_.overflow_metric);
-  s.rtt_p95_us = window_.histogram_window(cfg_.rtt_metric).p95;
   return s;
 }
 
@@ -172,48 +154,6 @@ void AdaptationController::control_grain(const Signals& s,
   }
 }
 
-void AdaptationController::control_feeder(const Signals& s,
-                                          std::vector<Decision>& out) {
-  if (!feeder_.valid()) return;
-  if (feeder_cooldown_ > 0) {
-    --feeder_cooldown_;
-    return;
-  }
-  if (s.queue_wait_p95_us > cfg_.feeder_deep_us &&
-      feeder_.value() < feeder_.max()) {
-    feeder_.set(feeder_.value() * 2);
-    feeder_cooldown_ = cfg_.cooldown_ticks;
-    decide(Decision::kFeederDeepen, out);
-  } else if (s.queue_wait_p95_us < cfg_.feeder_shallow_us &&
-             feeder_.value() > feeder_.min()) {
-    feeder_.set(std::max(feeder_.min(), feeder_.value() / 2));
-    feeder_cooldown_ = cfg_.cooldown_ticks;
-    decide(Decision::kFeederShallow, out);
-  }
-}
-
-void AdaptationController::control_routing(const Signals& s,
-                                           std::vector<Decision>& out) {
-  if (!routing_.valid()) return;
-  if (routing_cooldown_ > 0) {
-    --routing_cooldown_;
-    return;
-  }
-  if (s.rtt_p95_us <= 0.0) return;
-  // Hysteresis band: promote above rtt_promote_us, demote only below the
-  // (lower) rtt_demote_us, so RTT noise inside the band never flaps the
-  // plane selection.
-  if (s.rtt_p95_us > cfg_.rtt_promote_us && routing_.value() == 0) {
-    routing_.set(1);
-    routing_cooldown_ = cfg_.cooldown_ticks;
-    decide(Decision::kPromoteFast, out);
-  } else if (s.rtt_p95_us < cfg_.rtt_demote_us && routing_.value() == 1) {
-    routing_.set(0);
-    routing_cooldown_ = cfg_.cooldown_ticks;
-    decide(Decision::kDemoteFast, out);
-  }
-}
-
 std::vector<Decision> AdaptationController::tick(const Signals& s) {
   std::vector<Decision> out;
   tick_count_.fetch_add(1, std::memory_order_relaxed);
@@ -221,8 +161,6 @@ std::vector<Decision> AdaptationController::tick(const Signals& s) {
   if (!s.valid) return out;
   control_workers(s, out);
   control_grain(s, out);
-  control_feeder(s, out);
-  control_routing(s, out);
   publish_gauges();
   return out;
 }
@@ -230,8 +168,6 @@ std::vector<Decision> AdaptationController::tick(const Signals& s) {
 void AdaptationController::publish_gauges() {
   if (workers_.valid()) workers_gauge_->set(workers_.value());
   if (grain_.valid()) grain_gauge_->set(grain_.value());
-  if (feeder_.valid()) feeder_gauge_->set(feeder_.value());
-  if (routing_.valid()) routing_gauge_->set(routing_.value());
 }
 
 void AdaptationController::loop() {

@@ -24,16 +24,14 @@ namespace apar::adapt {
 /// logic deterministic (tick() touches no clock and no global).
 struct Signals {
   bool valid = false;        ///< false until two snapshots exist
-  double interval_s = 0.0;   ///< window length
   double throughput = 0.0;   ///< pool tasks completed per second
   double queue_wait_p95_us = 0.0;  ///< submit→start gap, windowed p95
   double run_mean_us = 0.0;        ///< task body wall time, windowed mean
-  double steal_rate = 0.0;         ///< successful steals per second
-  double overflow_rate = 0.0;      ///< deque overflows per second
-  double rtt_p95_us = 0.0;         ///< network RTT, windowed p95 (0 = none)
 };
 
 /// Everything the controller decided on one tick, for gauges/logs/tests.
+/// The numeric values are stable: adapt.last_decision carries them over
+/// the wire.
 enum class Decision : int {
   kNone = 0,
   kGrowWorkers = 1,
@@ -42,10 +40,6 @@ enum class Decision : int {
   kRevertShrink = 4,   ///< hill-climb verification failed a shrink
   kGrainCoarsen = 5,
   kGrainRefine = 6,
-  kFeederDeepen = 7,
-  kFeederShallow = 8,
-  kPromoteFast = 9,    ///< hybrid middleware: route onto the fast path
-  kDemoteFast = 10,
 };
 
 [[nodiscard]] std::string_view decision_name(Decision d);
@@ -84,16 +78,9 @@ class AdaptationController {
     double max_loss = 0.10;  ///< a shrink may cost ≤10% before reverting
     double grain_low_us = 40.0;     ///< task bodies below: coarsen grain
     double grain_high_us = 2000.0;  ///< task bodies above: refine grain
-    double feeder_deep_us = 500.0;   ///< queue-wait p95: deepen feeder
-    double feeder_shallow_us = 50.0;
-    double rtt_promote_us = 2000.0;  ///< RTT p95: promote to fast path
-    double rtt_demote_us = 500.0;    ///< hysteresis gap below promote
     std::string tasks_metric = "threadpool.tasks";
     std::string queue_wait_metric = "threadpool.queue_wait";
     std::string run_metric = "threadpool.run_us";
-    std::string steals_metric = "threadpool.steals";
-    std::string overflow_metric = "threadpool.overflow";
-    std::string rtt_metric = "net.rtt_us";
   };
 
   AdaptationController();  ///< default Config over the global registry
@@ -109,9 +96,6 @@ class AdaptationController {
   /// while the loop thread is running.
   void set_workers_knob(Knob knob);
   void set_grain_knob(Knob knob);
-  void set_feeder_knob(Knob knob);
-  /// Binary plane selector: 0 = control plane, 1 = fast path.
-  void set_routing_knob(Knob knob);
 
   /// Observe: windowed deltas of the registry since the previous sample.
   [[nodiscard]] Signals sample();
@@ -143,15 +127,11 @@ class AdaptationController {
   /// Current knob values (0 when the knob is unwired).
   [[nodiscard]] std::int64_t workers() const { return workers_.value(); }
   [[nodiscard]] std::int64_t grain() const { return grain_.value(); }
-  [[nodiscard]] std::int64_t feeder_depth() const { return feeder_.value(); }
-  [[nodiscard]] std::int64_t routing() const { return routing_.value(); }
 
  private:
   void decide(Decision d, std::vector<Decision>& out);
   void control_workers(const Signals& s, std::vector<Decision>& out);
   void control_grain(const Signals& s, std::vector<Decision>& out);
-  void control_feeder(const Signals& s, std::vector<Decision>& out);
-  void control_routing(const Signals& s, std::vector<Decision>& out);
   void publish_gauges();
   void loop();
 
@@ -161,8 +141,6 @@ class AdaptationController {
 
   Knob workers_;
   Knob grain_;
-  Knob feeder_;
-  Knob routing_;
 
   // Worker-knob controller state (single-threaded: loop thread only).
   int cooldown_ = 0;
@@ -173,8 +151,6 @@ class AdaptationController {
   Decision pending_verify_ = Decision::kNone;
   double baseline_throughput_ = 0.0;
   int grain_cooldown_ = 0;
-  int feeder_cooldown_ = 0;
-  int routing_cooldown_ = 0;
 
   std::atomic<std::uint64_t> tick_count_{0};
   std::atomic<std::uint64_t> decision_count_{0};
@@ -187,8 +163,6 @@ class AdaptationController {
   // is already the opt-in, mirroring ProfilingAspect.
   std::shared_ptr<obs::Gauge> workers_gauge_;
   std::shared_ptr<obs::Gauge> grain_gauge_;
-  std::shared_ptr<obs::Gauge> feeder_gauge_;
-  std::shared_ptr<obs::Gauge> routing_gauge_;
   std::shared_ptr<obs::Gauge> last_decision_gauge_;
   std::shared_ptr<obs::Counter> ticks_counter_;
   std::shared_ptr<obs::Counter> decisions_counter_;

@@ -10,11 +10,10 @@ namespace apar::adapt {
 
 /// One runtime-tunable degree of parallelism: a named integer with hard
 /// bounds and an apply callback that pushes a new value into the live
-/// system (ThreadPool::resize, a farm's pack size, a feeder's batch
-/// depth, a middleware routing plane). The controller owns the value; the
-/// callback runs synchronously on the controller's thread, so actuators
-/// must be safe to call from a non-worker thread (resize() requires
-/// exactly that).
+/// system (ThreadPool::resize, a farm's pack size or a parallel_for
+/// grain). The controller owns the value; the callback runs synchronously
+/// on the controller's thread, so actuators must be safe to call from a
+/// non-worker thread (resize() requires exactly that).
 class Knob {
  public:
   using Apply = std::function<void(std::int64_t)>;

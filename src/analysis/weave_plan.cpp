@@ -215,7 +215,7 @@ Report analyze_weave_plan(const aop::Context& context) {
   // --- adaptation safety --------------------------------------------------
   // A mark_adapts advice means an autonomic controller WILL retune the
   // parallelism behind its matched signatures while the application runs
-  // (pool resize, grain, feeder depth). That is only sound when every
+  // (pool resize, grain). That is only sound when every
   // concurrency-spawning advice on the same signature declared
   // mark_online_resizable() — i.e. its fan-out tolerates a degree change
   // between tasks without losing or re-running accepted work. A spawner

@@ -176,7 +176,7 @@ class AdviceBase {
   }
 
   /// Declare that this advice ADAPTS the parallelism behind the join
-  /// points it matches at runtime (worker count, grain, feeder depth),
+  /// points it matches at runtime (worker count, grain),
   /// naming each knob it actuates. The weaver never reads it; the effects
   /// analyzer's adaptation-safety pass does: every concurrency-spawning
   /// advice on a signature an adapter also matches must declare

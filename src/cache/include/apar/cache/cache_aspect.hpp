@@ -137,8 +137,6 @@ class CacheAspect : public aop::Aspect {
     return store_.stats().misses.load(std::memory_order_relaxed);
   }
 
-  void invalidate_all() { store_.clear(); }
-
  private:
   typename Store::Options store_options() const {
     typename Store::Options so;

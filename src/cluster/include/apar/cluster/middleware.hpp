@@ -3,7 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -233,10 +233,10 @@ class HybridMiddleware final : public Middleware {
  public:
   HybridMiddleware(Middleware& control, Middleware& fast,
                    std::vector<std::string> fast_methods)
-      : control_(control), fast_(fast) {
-    auto set = std::make_shared<MethodSet>();
-    for (auto& m : fast_methods) set->insert(std::move(m));
-    fast_methods_.store(std::move(set), std::memory_order_release);
+      : control_(control),
+        fast_(fast),
+        fast_methods_(std::make_move_iterator(fast_methods.begin()),
+                      std::make_move_iterator(fast_methods.end())) {
     name_ = "Hybrid(" + std::string(control_.name()) + "+" +
             std::string(fast_.name()) + ")";
   }
@@ -250,38 +250,7 @@ class HybridMiddleware final : public Middleware {
   }
 
   Middleware& route_for(std::string_view method) override {
-    const auto set = fast_methods_.load(std::memory_order_acquire);
-    return set->count(method) != 0 ? fast_ : control_;
-  }
-
-  // --- runtime routing control (the AdaptationAspect's knob) -------------
-  // The method set is copy-on-write behind an atomic shared_ptr: route_for
-  // (the per-call hot path) is one acquire load + a set lookup, identical
-  // in cost to the former immutable set, while promote/demote swap in a
-  // fresh copy — calls in flight finish against the set they loaded.
-
-  /// Replace the fast-path method set wholesale.
-  void set_fast_methods(std::vector<std::string> fast_methods) {
-    auto set = std::make_shared<MethodSet>();
-    for (auto& m : fast_methods) set->insert(std::move(m));
-    fast_methods_.store(std::move(set), std::memory_order_release);
-  }
-  /// Route `method` onto the fast path from the next call on.
-  void promote(std::string_view method) {
-    auto set = std::make_shared<MethodSet>(
-        *fast_methods_.load(std::memory_order_acquire));
-    set->insert(std::string(method));
-    fast_methods_.store(std::move(set), std::memory_order_release);
-  }
-  /// Route `method` back through the control plane from the next call on.
-  void demote(std::string_view method) {
-    auto set = std::make_shared<MethodSet>(
-        *fast_methods_.load(std::memory_order_acquire));
-    if (auto it = set->find(method); it != set->end()) set->erase(it);
-    fast_methods_.store(std::move(set), std::memory_order_release);
-  }
-  [[nodiscard]] bool is_fast(std::string_view method) const {
-    return fast_methods_.load(std::memory_order_acquire)->count(method) != 0;
+    return fast_methods_.count(method) != 0 ? fast_ : control_;
   }
 
   RemoteHandle create(NodeId node, std::string_view class_name,
@@ -326,7 +295,7 @@ class HybridMiddleware final : public Middleware {
 
   Middleware& control_;
   Middleware& fast_;
-  std::atomic<std::shared_ptr<const MethodSet>> fast_methods_;
+  const MethodSet fast_methods_;
   std::string name_;
   /// Refreshed on every stats() call from the two backends' live counters.
   mutable MiddlewareStats agg_stats_;

@@ -2,7 +2,6 @@
 
 #include <condition_variable>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -29,7 +28,6 @@ struct FutureState {
   std::optional<T> value;
   std::exception_ptr error;
   bool broken = false;
-  std::vector<std::function<void()>> continuations;
 
   bool ready_locked() const { return value.has_value() || error || broken; }
 };
@@ -41,16 +39,9 @@ struct FutureState<void> {
   bool done = false;
   std::exception_ptr error;
   bool broken = false;
-  std::vector<std::function<void()>> continuations;
 
   bool ready_locked() const { return done || error || broken; }
 };
-
-template <class T>
-void fire_continuations(FutureState<T>& st,
-                        std::vector<std::function<void()>>& out) {
-  out.swap(st.continuations);
-}
 
 /// Deliver into a raw FutureState (shared by Promise and the ThreadPool's
 /// single-allocation submit(), which folds the state into the task storage
@@ -58,31 +49,20 @@ void fire_continuations(FutureState<T>& st,
 /// the state lock and must make ready_locked() true.
 template <class T, class Store>
 void deliver_to_state(FutureState<T>& st, Store&& store) {
-  std::vector<std::function<void()>> conts;
-  {
-    std::lock_guard lock(st.mutex);
-    if (st.ready_locked())
-      throw std::logic_error("Promise already satisfied");
-    store(st);
-    fire_continuations(st, conts);
-    st.cv.notify_all();
-  }
-  for (auto& c : conts) c();
+  std::lock_guard lock(st.mutex);
+  if (st.ready_locked()) throw std::logic_error("Promise already satisfied");
+  store(st);
+  st.cv.notify_all();
 }
 
 /// Producer vanished without delivering: wake waiters with BrokenPromise.
 /// Idempotent — a state that is already ready is left alone.
 template <class T>
 void abandon_state(FutureState<T>& st) {
-  std::vector<std::function<void()>> conts;
-  {
-    std::lock_guard lock(st.mutex);
-    if (st.ready_locked()) return;
-    st.broken = true;
-    fire_continuations(st, conts);
-    st.cv.notify_all();
-  }
-  for (auto& c : conts) c();
+  std::lock_guard lock(st.mutex);
+  if (st.ready_locked()) return;
+  st.broken = true;
+  st.cv.notify_all();
 }
 
 /// Grants Future construction from a bare state pointer to in-tree
@@ -97,9 +77,7 @@ class Promise;
 /// ABCL-style future variable (paper §2): the client receives the future
 /// immediately; touching the value blocks until the producer delivers it.
 ///
-/// Unlike std::future, this future is copyable (shared) and supports
-/// `on_ready` continuations, which the concurrency aspect uses to chain
-/// pipeline stages without blocking a thread.
+/// Unlike std::future, this future is copyable (shared).
 template <class T>
 class Future {
  public:
@@ -138,20 +116,6 @@ class Future {
     if (state_->error) std::rethrow_exception(state_->error);
     if (state_->broken) throw BrokenPromise();
     return *state_->value;
-  }
-
-  /// Register a callback run when the value (or error) arrives; runs
-  /// immediately if already ready. The callback must not block.
-  void on_ready(std::function<void()> fn) const {
-    ensure_valid();
-    {
-      std::lock_guard lock(state_->mutex);
-      if (!state_->ready_locked()) {
-        state_->continuations.push_back(std::move(fn));
-        return;
-      }
-    }
-    fn();
   }
 
  private:
@@ -199,18 +163,6 @@ class Future<void> {
     state_->cv.wait(lock, [&] { return state_->ready_locked(); });
     if (state_->error) std::rethrow_exception(state_->error);
     if (state_->broken) throw BrokenPromise();
-  }
-
-  void on_ready(std::function<void()> fn) const {
-    ensure_valid();
-    {
-      std::lock_guard lock(state_->mutex);
-      if (!state_->ready_locked()) {
-        state_->continuations.push_back(std::move(fn));
-        return;
-      }
-    }
-    fn();
   }
 
  private:

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -83,29 +82,6 @@ class WorkQueue {
     else
       cv_.notify_all();
     return n;
-  }
-
-  /// Block until at least one item is available (or the queue is closed and
-  /// empty), then take up to `max_n` items under the single lock hold.
-  /// Empty result means closed-and-drained, mirroring pop().
-  std::vector<T> pop_batch(std::size_t max_n) {
-    std::vector<T> out;
-    if (max_n == 0) return out;
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [&] { return closed_ || !items_.empty(); });
-      const std::size_t take = std::min(max_n, items_.size());
-      out.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        out.push_back(std::move(items_.front()));
-        items_.pop_front();
-      }
-    }
-    if (depth_ && !out.empty()) {
-      depth_->add(-static_cast<std::int64_t>(out.size()));
-      popped_->add(out.size());
-    }
-    return out;
   }
 
   /// Block until an item is available or the queue is closed and empty.

@@ -45,19 +45,6 @@ class DynamicFarmAspect : public aop::Aspect {
     register_split();
   }
 
-  /// Runtime-tunable feeder depth — the AdaptationAspect's dynamic-farm
-  /// knob: how many packs a worker loop pulls from the shared queue per
-  /// lock hold. 1 reproduces the paper's pack-at-a-time demand pull;
-  /// deeper values amortise the queue lock when packs are small and the
-  /// queue-wait histogram shows contention. Read once per pull, so a
-  /// change takes effect on each loop's next visit to the queue.
-  void set_feeder_depth(std::size_t n) {
-    feeder_depth_.store(n ? n : 1, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t feeder_depth() const {
-    return feeder_depth_.load(std::memory_order_relaxed);
-  }
-
   explicit DynamicFarmAspect(Options options)
       : DynamicFarmAspect("DynamicFarm", std::move(options)) {}
 
@@ -129,9 +116,9 @@ class DynamicFarmAspect : public aop::Aspect {
         // across them and the effect analyzer skips these signatures.
         // Demand-driven pull also makes the farm online-resizable from an
         // adapter's perspective: accepted packs sit in the closed-over
-        // queue until SOME loop claims them, so retuning the feeder depth
-        // (or the pool behind a composition) between pulls can neither
-        // orphan nor double-run a pack.
+        // queue until SOME loop claims them, so resizing the pool behind
+        // a composition between pulls can neither orphan nor double-run a
+        // pack.
         .mark_spawns_concurrency(/*confined_to_target=*/true)
         .mark_online_resizable();
   }
@@ -148,16 +135,12 @@ class DynamicFarmAspect : public aop::Aspect {
     // this frame the split advice above would re-intercept them.
     aop::AspectFrame frame(*this);
     aop::Ref<T> self = workers_[index];
-    while (true) {
-      auto batch =
-          queue_->pop_batch(feeder_depth_.load(std::memory_order_relaxed));
-      if (batch.empty()) break;  // closed and drained
-      for (auto& pack : batch) {
-        ctx.template call<&T::process>(self, pack);
-        std::lock_guard lock(pending_mutex_);
-        ++packs_per_worker_[index];
-        if (--pending_ == 0) idle_cv_.notify_all();
-      }
+    // Pack-at-a-time demand pull; nullopt means closed and drained.
+    while (auto pack = queue_->pop()) {
+      ctx.template call<&T::process>(self, *pack);
+      std::lock_guard lock(pending_mutex_);
+      ++packs_per_worker_[index];
+      if (--pending_ == 0) idle_cv_.notify_all();
     }
   }
 
@@ -170,7 +153,6 @@ class DynamicFarmAspect : public aop::Aspect {
   }
 
   Options options_;
-  std::atomic<std::size_t> feeder_depth_{1};
   std::vector<aop::Ref<T>> workers_;
   std::unique_ptr<concurrency::WorkQueue<std::vector<E>>> queue_ =
       std::make_unique<concurrency::WorkQueue<std::vector<E>>>();

@@ -21,7 +21,6 @@ namespace {
 adapt::Signals busy(double queue_wait_us, double throughput) {
   adapt::Signals s;
   s.valid = true;
-  s.interval_s = 0.2;
   s.throughput = throughput;
   s.queue_wait_p95_us = queue_wait_us;
   s.run_mean_us = 100.0;
@@ -163,57 +162,12 @@ TEST(AdaptController, GrainBandsCoarsenAndRefineMultiplicatively) {
   EXPECT_EQ(c.grain(), 8);
 }
 
-TEST(AdaptController, FeederDepthFollowsQueueWaitBands) {
-  adapt::AdaptationController::Config cfg;
-  cfg.cooldown_ticks = 0;
-  obs::MetricsRegistry registry;
-  adapt::AdaptationController c(cfg, registry);
-  c.set_feeder_knob(adapt::Knob("feeder", 1, 16, 2, [](std::int64_t) {}));
-
-  auto d = c.tick(busy(/*deep*/ 1000, 100));
-  ASSERT_EQ(d.size(), 1u);
-  EXPECT_EQ(d[0], Decision::kFeederDeepen);
-  EXPECT_EQ(c.feeder_depth(), 4);
-  d = c.tick(busy(/*shallow*/ 10, 100));
-  ASSERT_EQ(d.size(), 1u);
-  EXPECT_EQ(d[0], Decision::kFeederShallow);
-  EXPECT_EQ(c.feeder_depth(), 2);
-}
-
-TEST(AdaptController, RoutingHysteresisNeverFlapsInsideTheBand) {
-  adapt::AdaptationController::Config cfg;
-  cfg.cooldown_ticks = 0;
-  obs::MetricsRegistry registry;
-  adapt::AdaptationController c(cfg, registry);
-  c.set_routing_knob(adapt::Knob("routing", 0, 1, 0, [](std::int64_t) {}));
-
-  adapt::Signals s = busy(200, 100);
-  s.rtt_p95_us = 5000.0;  // above promote threshold
-  auto d = c.tick(s);
-  ASSERT_EQ(d.size(), 1u);
-  EXPECT_EQ(d[0], Decision::kPromoteFast);
-  EXPECT_EQ(c.routing(), 1);
-  // Anywhere inside [demote, promote) holds the plane steady.
-  s.rtt_p95_us = 1000.0;
-  EXPECT_TRUE(c.tick(s).empty());
-  EXPECT_EQ(c.routing(), 1);
-  s.rtt_p95_us = 100.0;  // below demote
-  d = c.tick(s);
-  ASSERT_EQ(d.size(), 1u);
-  EXPECT_EQ(d[0], Decision::kDemoteFast);
-  EXPECT_EQ(c.routing(), 0);
-  // No RTT signal at all (no net phase): hold.
-  s.rtt_p95_us = 0.0;
-  EXPECT_TRUE(c.tick(s).empty());
-}
-
 TEST(AdaptController, UnwiredKnobsNeverDecide) {
   obs::MetricsRegistry registry;
   adapt::AdaptationController c(adapt::AdaptationController::Config{},
                                 registry);
   adapt::Signals s = busy(100'000, 100);
   s.run_mean_us = 1.0;
-  s.rtt_p95_us = 100'000.0;
   for (int i = 0; i < 10; ++i) EXPECT_TRUE(c.tick(s).empty());
   EXPECT_EQ(c.decisions(), 0u);
 }
@@ -235,7 +189,6 @@ TEST(AdaptController, DecisionNamesAreStable) {
   EXPECT_EQ(adapt::decision_name(Decision::kNone), "none");
   EXPECT_EQ(adapt::decision_name(Decision::kGrowWorkers), "grow-workers");
   EXPECT_EQ(adapt::decision_name(Decision::kRevertShrink), "revert-shrink");
-  EXPECT_EQ(adapt::decision_name(Decision::kPromoteFast), "promote-fast");
 }
 
 }  // namespace

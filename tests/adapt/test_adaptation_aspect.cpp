@@ -3,9 +3,11 @@
 // residue on the call path. Its advice is a pass-through whose value is
 // the analysis metadata (mark_adapts + mark_online_resizable), and its
 // knobs actuate real substrate: a workers knob wired to
-// ThreadPool::resize moves live workers.
+// ThreadPool::resize moves live workers, and a grain knob wired to
+// FarmAspect::set_pack_size re-partitions the next solve.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -13,9 +15,13 @@
 #include "../aop/fixtures.hpp"
 #include "apar/adapt/adaptation_aspect.hpp"
 #include "apar/concurrency/thread_pool.hpp"
+#include "apar/sieve/prime_filter.hpp"
+#include "apar/sieve/workload.hpp"
+#include "apar/strategies/farm_aspect.hpp"
 
 namespace adapt = apar::adapt;
 namespace aop = apar::aop;
+namespace sieve = apar::sieve;
 using apar::test::Worker;
 
 namespace {
@@ -74,7 +80,6 @@ TEST(AdaptationAspect, WorkersKnobActuatesALivePool) {
   // live pool by one worker.
   adapt::Signals s;
   s.valid = true;
-  s.interval_s = 0.2;
   s.throughput = 100.0;
   s.queue_wait_p95_us = 5000.0;
   auto d = tuner->controller().tick(s);
@@ -88,6 +93,70 @@ TEST(AdaptationAspect, WorkersKnobActuatesALivePool) {
   for (int i = 0; i < 100; ++i) pool.post([&ran] { ++ran; });
   pool.drain();
   EXPECT_EQ(ran.load(), 100);
+}
+
+TEST(AdaptationAspect, GrainKnobCoarsensTheNextFarmSplit) {
+  using Farm = apar::strategies::FarmAspect<sieve::PrimeFilter, long long,
+                                            long long, long long, double>;
+  constexpr long long kMax = 20'000;
+  const long long root = sieve::sieve_root(kMax);
+
+  aop::Context ctx;
+  Farm::Options fopts;
+  fopts.duplicates = 2;
+  fopts.pack_size = 500;
+  auto farm = std::make_shared<Farm>(fopts);
+  ctx.attach(farm);
+  // Every pack the split hands down the chain passes this advice once.
+  std::size_t packs = 0;
+  auto counter = std::make_shared<aop::Aspect>("PackCounter");
+  counter->around_method<&sieve::PrimeFilter::process>(
+      aop::order::kDefault, aop::Scope::any(), [&packs](auto& inv) {
+        ++packs;
+        return inv.proceed();
+      });
+  ctx.attach(counter);
+
+  auto tuner =
+      std::make_shared<adapt::AdaptationAspect<sieve::PrimeFilter>>();
+  tuner->controller().set_grain_knob(adapt::Knob(
+      "grain", 250, 20'000, static_cast<std::int64_t>(farm->pack_size()),
+      [farm](std::int64_t v) {
+        farm->set_pack_size(static_cast<std::size_t>(v));
+      }));
+
+  sieve::PrimeFilter reference(2, root);
+  auto reference_data = sieve::odd_candidates(kMax);
+  reference.process(reference_data);
+  const std::vector<long long> expected = reference.take_results();
+
+  auto first = ctx.create<sieve::PrimeFilter>(2LL, root, 0.0);
+  auto solve = [&] {
+    packs = 0;
+    auto data = sieve::odd_candidates(kMax);
+    ctx.call<&sieve::PrimeFilter::process>(first, data);
+    ctx.quiesce();
+    auto results = farm->gather_results(ctx);
+    std::sort(results.begin(), results.end());
+    return results;
+  };
+
+  EXPECT_EQ(solve(), expected);
+  const std::size_t fine_packs = packs;
+  ASSERT_GT(fine_packs, 1u);
+
+  // Envelope-dominated task bodies: the controller coarsens the grain,
+  // and the knob pushes the doubled pack size into the live farm.
+  adapt::Signals s;
+  s.valid = true;
+  s.run_mean_us = tuner->controller().config().grain_low_us / 8;
+  auto d = tuner->controller().tick(s);
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_EQ(d[0], adapt::Decision::kGrainCoarsen);
+  EXPECT_EQ(farm->pack_size(), 1'000u);
+
+  EXPECT_EQ(solve(), expected);
+  EXPECT_EQ(packs * 2, fine_packs);
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 // checks of the methodology's structural claims.
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <memory>
+#include <vector>
 
 #include "apar/obs/trace_aspect.hpp"
 #include "fixtures.hpp"
@@ -104,12 +106,29 @@ TEST(TraceAspect, ConcurrencyAspectShowsUpAsManyThreads) {
       });
   ctx.attach(async);
 
-  auto w = ctx.create<Worker>(1);
+  // Inside the trace, hold every spawned body until all 8 have started:
+  // the 8 threads are then alive at once and carry 8 distinct ids, so the
+  // count below does not depend on scheduling.
+  constexpr int kCalls = 8;
+  std::latch all_started(kCalls);
+  auto rendezvous = std::make_shared<aop::Aspect>("rendezvous");
+  rendezvous->around_method<&Worker::process>(
+      aop::order::kConcurrencyAsync + 20, aop::Scope::any(),
+      [&all_started](auto& inv) {
+        all_started.arrive_and_wait();
+        inv.proceed();
+      });
+  ctx.attach(rendezvous);
+
+  // One Worker per call: the released bodies run concurrently, and a
+  // Worker is not thread safe.
+  std::vector<aop::Ref<Worker>> workers;
+  for (int i = 0; i < kCalls; ++i) workers.push_back(ctx.create<Worker>(1));
   std::vector<int> pack{1};
-  for (int i = 0; i < 8; ++i) ctx.call<&Worker::process>(w, pack);
+  for (auto& w : workers) ctx.call<&Worker::process>(w, pack);
   ctx.quiesce();
   EXPECT_EQ(tracer->calls("Worker.process"), 8u);
-  EXPECT_GT(tracer->thread_count(), 1u);
+  EXPECT_EQ(tracer->thread_count(), 8u);
 }
 
 TEST(TraceAspect, DiagramAndSummaryRender) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -69,35 +68,6 @@ TEST(Future, VoidExceptionPropagates) {
   auto f = p.future();
   p.set_exception(std::make_exception_ptr(std::logic_error("bad")));
   EXPECT_THROW(f.get(), std::logic_error);
-}
-
-TEST(Future, OnReadyFiresAfterDelivery) {
-  acc::Promise<int> p;
-  auto f = p.future();
-  std::atomic<int> seen{0};
-  f.on_ready([&] { seen = 1; });
-  EXPECT_EQ(seen.load(), 0);
-  p.set_value(1);
-  EXPECT_EQ(seen.load(), 1);
-}
-
-TEST(Future, OnReadyFiresImmediatelyIfAlreadyReady) {
-  acc::Promise<int> p;
-  auto f = p.future();
-  p.set_value(3);
-  std::atomic<int> seen{0};
-  f.on_ready([&] { seen = 1; });
-  EXPECT_EQ(seen.load(), 1);
-}
-
-TEST(Future, OnReadyFiresOnBrokenPromise) {
-  std::atomic<int> seen{0};
-  {
-    acc::Promise<int> p;
-    auto f = p.future();
-    f.on_ready([&] { seen = 1; });
-  }
-  EXPECT_EQ(seen.load(), 1);
 }
 
 TEST(Future, DoubleDeliveryThrows) {

@@ -123,27 +123,6 @@ TEST(WorkQueueBatch, PushBatchEmptyIsANoOp) {
   EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(WorkQueueBatch, PopBatchTakesUpToMax) {
-  acc::WorkQueue<int> q;
-  std::vector<int> batch{1, 2, 3, 4, 5};
-  q.push_batch(batch);
-  auto first = q.pop_batch(3);
-  ASSERT_EQ(first.size(), 3u);
-  EXPECT_EQ(first[0], 1);
-  EXPECT_EQ(first[2], 3);
-  auto rest = q.pop_batch(10);
-  ASSERT_EQ(rest.size(), 2u);
-  EXPECT_EQ(rest[1], 5);
-}
-
-TEST(WorkQueueBatch, PopBatchReturnsEmptyWhenClosedAndDrained) {
-  acc::WorkQueue<int> q;
-  q.push(9);
-  q.close();
-  EXPECT_EQ(q.pop_batch(4).size(), 1u);
-  EXPECT_TRUE(q.pop_batch(4).empty());
-}
-
 TEST(WorkQueueBatch, PushBatchWakesAllConsumers) {
   acc::WorkQueue<int> q;
   std::atomic<int> got{0};
@@ -168,12 +147,9 @@ TEST(WorkQueueBatch, BatchAndSingleInterleaveKeepEveryItem) {
   std::vector<std::thread> consumers;
   for (int c = 0; c < 4; ++c)
     consumers.emplace_back([&] {
-      for (;;) {
-        auto items = q.pop_batch(7);
-        if (items.empty()) return;
+      while (auto item = q.pop()) {
         std::lock_guard lock(seen_mutex);
-        for (int item : items)
-          EXPECT_TRUE(seen.insert(item).second) << "duplicate " << item;
+        EXPECT_TRUE(seen.insert(*item).second) << "duplicate " << *item;
       }
     });
   for (int b = 0; b < kBatches; ++b) {

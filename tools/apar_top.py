@@ -65,8 +65,6 @@ def fetch_telemetry(host, port, timeout, include_trace=False, flush=False):
 DECISION_NAMES = {
     0: "none", 1: "grow-workers", 2: "shrink-workers", 3: "revert-grow",
     4: "revert-shrink", 5: "grain-coarsen", 6: "grain-refine",
-    7: "feeder-deepen", 8: "feeder-shallow", 9: "promote-fast",
-    10: "demote-fast",
 }
 
 
@@ -83,8 +81,6 @@ def adapt_summary(doc):
     return {
         "workers": int(vals.get("adapt.workers", 0)),
         "grain": int(vals.get("adapt.grain", 0)),
-        "feeder_depth": int(vals.get("adapt.feeder_depth", 0)),
-        "routing": int(vals.get("adapt.routing", 0)),
         "last_decision": DECISION_NAMES.get(
             int(vals.get("adapt.last_decision", 0)),
             str(vals.get("adapt.last_decision", 0))),

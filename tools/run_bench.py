@@ -35,9 +35,7 @@ workload — and writes BENCH_adapt.json:
 The binary sweeps the static (workers, grain) corners plus the adaptive
 configuration over alternating sieve/service/mandel phases and emits the
 recovery table tools/check_adapt_bench.py gates on (--quick shrinks the
-phases for CI). Full mode appends an informational closed-loop loadgen
-round — the net.rtt_us source the routing plane consumes — skipped with a
-marker where the sandbox forbids loopback sockets.
+phases for CI).
 
 Exit status is nonzero when the benchmark binary fails or produces no
 usable entries, so CI can gate on it.
@@ -315,24 +313,6 @@ def run_adapt(args):
         raise SystemExit(f"adapt_scaling failed ({proc.returncode})")
     with open(args.out) as fh:
         doc = json.load(fh)
-
-    if not args.quick:
-        # Informational net leg: a closed-loop loadgen round against the
-        # reactor server records the net.rtt_us shape the controller's
-        # routing plane consumes. Not part of the recovery gate.
-        try:
-            with NetServer(args.build, 2) as server:
-                doc["net"] = run_loadgen(
-                    args.build, server.port, "adapt_net",
-                    ["--mode", "closed", "--clients", "4",
-                     "--requests", "500", "--warmup", "50"])
-        except LoopbackUnavailable:
-            print("loopback TCP unavailable; net leg skipped",
-                  file=sys.stderr)
-            doc["net"] = {"skipped": "loopback TCP unavailable"}
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
 
     recovery = doc["recovery"]
     print(f"wrote {args.out} ({len(doc['configs'])} configs)")

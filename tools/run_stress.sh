@@ -9,7 +9,8 @@
 # a task trips tsan and the exactly-once asserts) and the observability
 # suite (`-L obs` — trace chaos, the tracer ring, span recording and
 # context propagation through the pool, all recording into one shared
-# tracer from many threads)
+# tracer from many threads) and the adaptation suite (`-L adapt` — the
+# controller actuating a live ThreadPool::resize and a live farm's grain)
 # under ThreadSanitizer and AddressSanitizer, and the analysis suite
 # (`-L analysis` — the weave-plan verifier, the effects race passes and
 # the apar-analyze gates) under AddressSanitizer. Any
@@ -45,12 +46,12 @@ for preset in "${presets[@]}"; do
   # are single-threaded: asan is the interesting sanitizer, and skipping
   # them under tsan keeps that (much slower) leg focused on real
   # concurrency.
-  labels='stress|cache|net|scheduler|obs'
+  labels='stress|cache|net|scheduler|obs|adapt'
   if [ "$preset" = "asan" ]; then
-    labels='stress|cache|net|scheduler|obs|analysis'
+    labels='stress|cache|net|scheduler|obs|adapt|analysis'
   fi
   echo "=== [$preset] ctest -L '$labels' ==="
   ctest --test-dir "build-$preset" -L "$labels" --output-on-failure -j 2
 done
 
-echo "stress + cache + net + scheduler + obs (+ analysis under asan) suites clean under: ${presets[*]}"
+echo "stress + cache + net + scheduler + obs + adapt (+ analysis under asan) suites clean under: ${presets[*]}"
