@@ -22,11 +22,10 @@
 // (workers, grain) for the whole run; the `adaptive` configuration plugs
 // an AdaptationAspect whose controller moves both knobs from live
 // threadpool.* metrics (online ThreadPool::resize + the shared grain
-// cell). The JSON written to --out records per-phase throughput for every
-// configuration plus the distilled recovery table that
-// tools/check_adapt_bench.py gates on: adaptive must reach
-// --require-recovery (default 0.8) of the best static throughput in
-// EVERY phase, while no static configuration does.
+// cell). The JSON written to --out records raw per-phase items, seconds
+// and throughput for every configuration plus the adaptive controller's
+// diagnostics; tools/check_bench.py derives the worst-phase recovery from
+// them and gates it.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -288,30 +287,6 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
 
-  // Distill: best static per phase, then each configuration's worst-phase
-  // recovery against it.
-  std::map<std::string, std::pair<std::string, double>> best_static;
-  for (const char* phase : kPhaseNames) {
-    for (const auto& [name, run] : runs) {
-      if (name == "adaptive") continue;
-      const double t = run.phases.at(phase).throughput();
-      if (t > best_static[phase].second) best_static[phase] = {name, t};
-    }
-  }
-  std::map<std::string, double> min_recovery;
-  for (const auto& [name, run] : runs) {
-    double worst = 1e300;
-    for (const char* phase : kPhaseNames) {
-      const double best = best_static[phase].second;
-      if (best <= 0.0) continue;
-      worst = std::min(worst, run.phases.at(phase).throughput() / best);
-    }
-    min_recovery[name] = worst;
-  }
-  double best_static_min = 0.0;
-  for (const auto& [name, r] : min_recovery)
-    if (name != "adaptive") best_static_min = std::max(best_static_min, r);
-
   std::string json = "{\n  \"schema_version\": 1,\n";
   json += "  \"options\": {\"phase_seconds\": " +
           common::json_number(opt.phase_seconds) +
@@ -337,27 +312,7 @@ int main(int argc, char** argv) {
     }
     json += "}";
   }
-  json += "\n  },\n  \"recovery\": {\n    \"best_static_per_phase\": {";
-  first = true;
-  for (const char* phase : kPhaseNames) {
-    if (!first) json += ", ";
-    first = false;
-    json += "\"" + std::string(phase) + "\": {\"config\": \"" +
-            best_static[phase].first + "\", \"throughput_items_per_s\": " +
-            common::json_number(best_static[phase].second) + "}";
-  }
-  json += "},\n    \"min_recovery\": {";
-  first = true;
-  for (const auto& [name, r] : min_recovery) {
-    if (!first) json += ", ";
-    first = false;
-    json += "\"" + name + "\": " + common::json_number(r);
-  }
-  json += "},\n    \"adaptive_min_recovery\": " +
-          common::json_number(min_recovery["adaptive"]) +
-          ",\n    \"best_static_min_recovery\": " +
-          common::json_number(best_static_min) + "\n  },\n";
-  json += "  \"checksum\": " +
+  json += "\n  },\n  \"checksum\": " +
           common::json_number(static_cast<double>(checksum.load() & 0xffff)) +
           "\n}\n";
 
@@ -368,9 +323,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "adapt_scaling: cannot write %s\n", opt.out.c_str());
     return 2;
   }
-  std::printf(
-      "wrote %s\n  adaptive min recovery %.3f, best static min recovery "
-      "%.3f\n",
-      opt.out.c_str(), min_recovery["adaptive"], best_static_min);
+  std::printf("wrote %s\n", opt.out.c_str());
   return 0;
 }

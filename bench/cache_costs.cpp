@@ -4,7 +4,8 @@
 // calibrated work model) and a Mandelbrot tile (MandelWorker::row_checksum,
 // real escape-time arithmetic). The acceptance claim quoted in
 // EXPERIMENTS.md — hit path >= 10x faster than recompute — comes from the
-// Recompute/CachedHit pairs below (tools/run_bench.py pairs them up).
+// Recompute/CachedHit pairs below; main() prints their ratio as a table
+// before the benchmark rows.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -146,9 +147,7 @@ BENCHMARK(BM_MandelRowCachedHit)->Arg(64)->Arg(256);
 /// Wall-clock ratio of recompute over cached hit for both memoisable
 /// units, printed before the benchmark run so a plain invocation (and
 /// EXPERIMENTS.md) gets the headline number without JSON post-processing.
-/// Goes to `out` so --benchmark_format=json runs can keep stdout pure
-/// (tools/run_bench.py parses it).
-void print_hit_speedup_table(std::FILE* out) {
+void print_hit_speedup_table() {
   using clock = std::chrono::steady_clock;
   apar::common::Table table(
       {"Unit", "recompute us/call", "hit us/call", "speedup"});
@@ -217,18 +216,13 @@ void print_hit_speedup_table(std::FILE* out) {
                    apar::common::fmt_ratio(recompute / hit)});
   }
 
-  std::fprintf(out, "=== memoized hit vs recompute ===\n%s\n",
-               table.str().c_str());
+  std::printf("=== memoized hit vs recompute ===\n%s\n", table.str().c_str());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool json_stdout = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::string(argv[i]).find("--benchmark_format=json") == 0)
-      json_stdout = true;
-  print_hit_speedup_table(json_stdout ? stderr : stdout);
+  print_hit_speedup_table();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

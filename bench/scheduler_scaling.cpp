@@ -16,8 +16,9 @@
 //     (work-stealing) vs per-chunk posts (central queue).
 //
 // Counters: "tasks/s" rates the real throughput; work-stealing runs also
-// report steals/overflows per iteration. tools/run_bench.py consumes the
-// JSON output and writes BENCH_scheduler.json.
+// report steals/overflows per iteration. Run it directly; google-benchmark's
+// --benchmark_repetitions=N --benchmark_report_aggregates_only=true reports
+// the median and spread.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>

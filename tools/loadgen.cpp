@@ -24,8 +24,8 @@
 //          [--warmup-seconds S] [--op lookup|telemetry] [--timeout-ms T]
 //          [--label NAME] [--dump PATH]
 //
-// --dump writes one JSON object (consumed by tools/run_bench.py --net and
-// validated by tools/check_net_bench.py); without it a human summary goes
+// --dump writes one JSON object (consumed by `tools/run_bench.py net` and
+// validated by tools/check_bench.py); without it a human summary goes
 // to stdout. Exit status 0 on success, 2 when the target is unreachable.
 #include <atomic>
 #include <array>

@@ -1,188 +1,95 @@
 #!/usr/bin/env python3
-"""Run a google-benchmark binary and distill median-of-N timings to JSON.
+"""Produce one benchmark ledger document: BENCH_net.json or BENCH_adapt.json.
 
-Default target is the scheduler ablation (bench/scheduler_scaling):
+    tools/run_bench.py net   [--quick] [--build build] [--out BENCH_net.json]
+    tools/run_bench.py adapt [--quick] [--build build] [--out BENCH_adapt.json]
 
-    tools/run_bench.py --binary build/bench/scheduler_scaling \
-        --out BENCH_scheduler.json --repetitions 5
-
-The binary is run once with --benchmark_repetitions=N and JSON output;
-per-benchmark medians (real ns/op and items/s) are computed here rather
-than trusting the binary's aggregate rows, so partial runs and filters
-behave predictably. The output records enough machine context (cores,
-load, date from the benchmark's own header) to keep numbers honest when
-they are quoted in EXPERIMENTS.md.
-
-With --net the flow is different: instead of a google-benchmark binary it
-drives examples/sieve_server + tools/loadgen through two latency scenarios
-against the server's reactor and writes BENCH_net.json:
-
-    tools/run_bench.py --net --build build --out BENCH_net.json
-
-Scenarios (full mode; --quick runs one small closed-loop round for CI):
-  reactor_wW_cW   closed loop, clients == workers: the baseline service
+net drives examples/sieve_server + tools/loadgen through two latency
+scenarios against the server's reactor:
+  reactor_w8_c8   closed loop, clients == workers: the baseline service
                   latency.
-  reactor_wW_cN   open loop, N = 4x workers connections at a fixed offered
+  reactor_w8_c32  open loop, 4x workers connections at a fixed offered
                   rate (coordinated-omission-corrected percentiles).
-tools/check_net_bench.py gates the open-loop row: enough connections per
-worker, zero errors, bounded p99.
+--quick runs one small closed-loop round instead, for CI.
 
-With --adapt it drives bench/adapt_scaling — the phase-shifting autonomic
-workload — and writes BENCH_adapt.json:
+adapt drives bench/adapt_scaling, the phase-shifting autonomic workload:
+the static (workers, grain) corners plus the adaptive configuration over
+alternating sieve/service/mandel phases (--quick shrinks the phases).
 
-    tools/run_bench.py --adapt --build build --out BENCH_adapt.json
-
-The binary sweeps the static (workers, grain) corners plus the adaptive
-configuration over alternating sieve/service/mandel phases and emits the
-recovery table tools/check_adapt_bench.py gates on (--quick shrinks the
-phases for CI).
-
-Exit status is nonzero when the benchmark binary fails or produces no
-usable entries, so CI can gate on it.
+Every document carries "kind" ("net" or "adapt") and a "host" block (cpus,
+compiler, build type, git sha); tools/check_bench.py gates both kinds.
+Exit status is nonzero when a binary fails.
 """
 
 import argparse
 import json
 import os
 import signal
-import statistics
 import subprocess
 import sys
 import tempfile
 import time
 
+# Open-loop reactor scenario: W workers, 4x W connections, fixed offered
+# rate over a fixed measurement window.
+NET_WORKERS = 8
+NET_CONNECTIONS = 32
+NET_RATE = 3000.0
+NET_MEASURE_SECONDS = 4.0
+# How long sieve_server may take to write its port file.
+PORT_DEADLINE_S = 10.0
+
 
 def parse_args(argv):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--binary", default="build/bench/scheduler_scaling",
-                        help="google-benchmark binary to run")
-    parser.add_argument("--out", default=None,
-                        help="output JSON path (default: BENCH_scheduler.json, "
-                             "or BENCH_net.json with --net)")
-    parser.add_argument("--repetitions", type=int, default=5,
-                        help="repetitions per benchmark (median is reported)")
-    parser.add_argument("--min-time", type=float, default=0.2,
-                        help="per-repetition minimum running time, seconds")
-    parser.add_argument("--filter", default="",
-                        help="--benchmark_filter regex (empty: all)")
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("kind", choices=("net", "adapt"),
+                        help="which document to produce")
     parser.add_argument("--quick", action="store_true",
-                        help="1 repetition, 0.05s min time: CI smoke mode")
-    parser.add_argument("--net", action="store_true",
-                        help="run the sieve_server/loadgen latency scenarios "
-                             "instead of a google-benchmark binary")
-    parser.add_argument("--adapt", action="store_true",
-                        help="run bench/adapt_scaling (phase-shifting "
-                             "autonomic workload) instead of a "
-                             "google-benchmark binary")
+                        help="scaled-down CI smoke run")
     parser.add_argument("--build", default="build",
-                        help="[--net/--adapt] build directory with the "
-                             "binaries")
-    parser.add_argument("--workers", type=int, default=8,
-                        help="[--net] server workers W")
-    parser.add_argument("--connections", type=int, default=32,
-                        help="[--net] open-loop connection count N")
-    parser.add_argument("--rate", type=float, default=3000.0,
-                        help="[--net] open-loop aggregate requests/second")
-    parser.add_argument("--measure-seconds", type=float, default=4.0,
-                        help="[--net] open-loop measurement window")
+                        help="build directory with the binaries")
+    parser.add_argument("--out", default=None,
+                        help="output path (default: BENCH_<kind>.json)")
     return parser.parse_args(argv)
 
 
-def run_benchmark(args):
-    repetitions = 1 if args.quick else args.repetitions
-    min_time = 0.05 if args.quick else args.min_time
-    cmd = [
-        args.binary,
-        f"--benchmark_repetitions={repetitions}",
-        f"--benchmark_min_time={min_time}",
-        "--benchmark_report_aggregates_only=false",
-        "--benchmark_format=json",
-    ]
-    if args.filter:
-        cmd.append(f"--benchmark_filter={args.filter}")
-    print("+ " + " ".join(cmd), file=sys.stderr)
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
-        raise SystemExit(f"benchmark binary failed ({proc.returncode})")
-    return json.loads(proc.stdout), repetitions
+def command_output(cmd, cwd=None):
+    try:
+        return subprocess.run(cmd, capture_output=True, text=True, check=True,
+                              cwd=cwd).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return ""
 
 
-def to_ns(value, unit):
-    scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
-    return value * scale[unit]
-
-
-def distill(doc, repetitions):
-    """Group raw iteration rows by benchmark name; median each metric."""
-    samples = {}
-    for row in doc.get("benchmarks", []):
-        if row.get("run_type", "iteration") != "iteration":
-            continue  # skip the binary's own aggregate rows
-        name = row["name"]
-        entry = samples.setdefault(
-            name, {"real_ns": [], "cpu_ns": [], "items_per_second": []})
-        entry["real_ns"].append(to_ns(row["real_time"], row["time_unit"]))
-        entry["cpu_ns"].append(to_ns(row["cpu_time"], row["time_unit"]))
-        if "items_per_second" in row:
-            entry["items_per_second"].append(row["items_per_second"])
-
-    results = {}
-    for name, entry in sorted(samples.items()):
-        results[name] = {
-            "median_real_ns": statistics.median(entry["real_ns"]),
-            "median_cpu_ns": statistics.median(entry["cpu_ns"]),
-            "repetitions": len(entry["real_ns"]),
-        }
-        if entry["items_per_second"]:
-            results[name]["median_items_per_second"] = statistics.median(
-                entry["items_per_second"])
-    if not results:
-        raise SystemExit("no benchmark entries produced (bad --filter?)")
+def host_block(build):
+    """cpus, compiler, build type and git sha of the run being recorded."""
+    cache = {}
+    try:
+        with open(os.path.join(build, "CMakeCache.txt")) as fh:
+            for line in fh:
+                key, sep, value = line.strip().partition("=")
+                if sep and not key.startswith(("//", "#")):
+                    cache[key.split(":")[0]] = value
+    except OSError:
+        pass
+    compiler = cache.get("CMAKE_CXX_COMPILER", "")
+    version = command_output([compiler, "--version"]) if compiler else ""
+    repo = os.path.dirname(os.path.abspath(__file__))
     return {
-        "context": doc.get("context", {}),
-        "requested_repetitions": repetitions,
-        "benchmarks": results,
+        "cpus": os.cpu_count(),
+        "compiler": version.splitlines()[0] if version else compiler,
+        "build_type": cache.get("CMAKE_BUILD_TYPE", ""),
+        "git_sha": command_output(["git", "describe", "--always", "--dirty"],
+                                  cwd=repo),
     }
 
 
-def summarize(results):
-    """Print speedups where benchmark pairs line up: central-queue vs
-    work-stealing (scheduler ablation) and recompute vs cached hit
-    (cache_costs)."""
-    for name in sorted(results["benchmarks"]):
-        if "Recompute" not in name:
-            continue
-        hit_name = name.replace("Recompute", "CachedHit")
-        if hit_name not in results["benchmarks"]:
-            continue
-        recompute = results["benchmarks"][name]["median_real_ns"]
-        hit = results["benchmarks"][hit_name]["median_real_ns"]
-        print(f"{hit_name}: {hit:12.0f} ns  vs  {name}: {recompute:12.0f} ns"
-              f"  -> hit speedup {recompute / hit:5.2f}x")
-    pairs = []
-    for name in results["benchmarks"]:
-        if name.startswith("BM_WorkStealing_"):
-            continue
-        if not name.startswith("BM_CentralQueue_"):
-            continue
-        shape_arg = name[len("BM_CentralQueue_"):]
-        for ws_shape in ("ParallelFor", "ExternalPost", "RecursiveFan"):
-            cq_shape = "ChunkedFor" if ws_shape == "ParallelFor" else ws_shape
-            if not shape_arg.startswith(cq_shape):
-                continue
-            suffix = shape_arg[len(cq_shape):]
-            ws_name = f"BM_WorkStealing_{ws_shape}{suffix}"
-            if ws_name in results["benchmarks"]:
-                pairs.append((name, ws_name))
-    for cq_name, ws_name in pairs:
-        cq = results["benchmarks"][cq_name]["median_real_ns"]
-        ws = results["benchmarks"][ws_name]["median_real_ns"]
-        print(f"{ws_name}: {ws:12.0f} ns  vs  {cq_name}: {cq:12.0f} ns  "
-              f"-> speedup {cq / ws:5.2f}x")
+# --- net: sieve_server + loadgen latency scenarios --------------------------
 
+class LoopbackUnavailable(Exception):
+    pass
 
-# --- --net: sieve_server + loadgen latency scenarios -----------------------
 
 class NetServer:
     """examples/sieve_server as a context manager: starts the process,
@@ -203,22 +110,32 @@ class NetServer:
                "--port-file", port_file.name, "--run-seconds", "300"]
         print("+ " + " ".join(cmd), file=sys.stderr)
         self.proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL)
-        deadline = time.time() + 10.0
+        try:
+            self.port = self._wait_for_port(port_file.name)
+        except BaseException:
+            self.__exit__()
+            raise
+        finally:
+            if os.path.exists(port_file.name):
+                os.unlink(port_file.name)
+        return self
+
+    def _wait_for_port(self, path):
+        deadline = time.time() + PORT_DEADLINE_S
         while time.time() < deadline:
             rc = self.proc.poll()
             if rc is not None:
                 # rc 2 = loopback unavailable in this sandbox
                 raise LoopbackUnavailable() if rc == 2 else SystemExit(
                     f"sieve_server exited early ({rc})")
-            if os.path.exists(port_file.name):
-                with open(port_file.name) as fh:
+            if os.path.exists(path):
+                with open(path) as fh:
                     text = fh.read().strip()
                 if text:
-                    self.port = int(text)
-                    os.unlink(port_file.name)
-                    return self
+                    return int(text)
             time.sleep(0.05)
-        raise SystemExit("sieve_server did not report a port within 10s")
+        raise SystemExit(
+            f"sieve_server did not report a port within {PORT_DEADLINE_S}s")
 
     def __exit__(self, *exc):
         if self.proc and self.proc.poll() is None:
@@ -227,11 +144,8 @@ class NetServer:
                 self.proc.wait(timeout=10)
             except subprocess.TimeoutExpired:
                 self.proc.kill()
+                self.proc.wait()
         return False
-
-
-class LoopbackUnavailable(Exception):
-    pass
 
 
 def run_loadgen(build, port, label, extra):
@@ -241,110 +155,84 @@ def run_loadgen(build, port, label, extra):
     cmd = [os.path.join(build, "tools", "loadgen"),
            "--port", str(port), "--label", label, "--dump", dump.name] + extra
     print("+ " + " ".join(cmd), file=sys.stderr)
-    proc = subprocess.run(cmd)
-    if proc.returncode not in (0, 1):  # 1 = zero successes, still a datapoint
-        raise SystemExit(f"loadgen failed ({proc.returncode})")
-    with open(dump.name) as fh:
-        result = json.load(fh)
-    os.unlink(dump.name)
-    return result
+    try:
+        proc = subprocess.run(cmd)
+        if proc.returncode not in (0, 1):  # 1 = zero successes, a datapoint
+            raise SystemExit(f"loadgen failed ({proc.returncode})")
+        with open(dump.name) as fh:
+            return json.load(fh)
+    finally:
+        os.unlink(dump.name)
 
 
-def run_net(args):
-    workers = args.workers
-    connections = args.connections
+def run_net(build, quick):
+    """Return the net document; a skip marker when loopback is missing."""
     scenarios = {}
     try:
-        if args.quick:
+        if quick:
             # CI smoke: one small closed-loop round against the reactor,
             # just enough to validate the whole pipeline end to end.
-            name = f"reactor_w2_c4_quick"
-            with NetServer(args.build, 2) as server:
+            name = "reactor_w2_c4_quick"
+            with NetServer(build, 2) as server:
                 scenarios[name] = run_loadgen(
-                    args.build, server.port, name,
+                    build, server.port, name,
                     ["--mode", "closed", "--clients", "4",
                      "--requests", "200", "--warmup", "50"])
         else:
-            open_args = ["--mode", "open",
-                         "--clients", str(connections),
-                         "--rate", str(args.rate),
-                         "--measure-seconds", str(args.measure_seconds),
-                         "--warmup-seconds", "1", "--timeout-ms", "1000"]
-            name = f"reactor_w{workers}_c{workers}"
-            with NetServer(args.build, workers) as server:
+            name = f"reactor_w{NET_WORKERS}_c{NET_WORKERS}"
+            with NetServer(build, NET_WORKERS) as server:
                 scenarios[name] = run_loadgen(
-                    args.build, server.port, name,
-                    ["--mode", "closed", "--clients", str(workers),
+                    build, server.port, name,
+                    ["--mode", "closed", "--clients", str(NET_WORKERS),
                      "--requests", "2000", "--warmup", "200"])
-            name = f"reactor_w{workers}_c{connections}"
-            with NetServer(args.build, workers) as server:
-                scenarios[name] = run_loadgen(args.build, server.port, name,
-                                              open_args)
+            name = f"reactor_w{NET_WORKERS}_c{NET_CONNECTIONS}"
+            with NetServer(build, NET_WORKERS) as server:
+                scenarios[name] = run_loadgen(
+                    build, server.port, name,
+                    ["--mode", "open", "--clients", str(NET_CONNECTIONS),
+                     "--rate", str(NET_RATE),
+                     "--measure-seconds", str(NET_MEASURE_SECONDS),
+                     "--warmup-seconds", "1", "--timeout-ms", "1000"])
     except LoopbackUnavailable:
         print("loopback TCP unavailable; writing a skip marker",
               file=sys.stderr)
-        with open(args.out, "w") as fh:
-            json.dump({"skipped": "loopback TCP unavailable"}, fh, indent=2)
-            fh.write("\n")
-        return
+        return {"skipped": "loopback TCP unavailable"}
 
-    doc = {"workers": workers, "quick": args.quick, "scenarios": scenarios}
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.out} ({len(scenarios)} scenarios)")
     for name, row in scenarios.items():
         lat = row["latency_us"]
         print(f"  {name}: {row['ok']}/{row['requests']} ok, "
               f"{row['throughput_rps']:.0f} rps, "
               f"p50 {lat['p50']:.0f}us p99 {lat['p99']:.0f}us")
+    return {"workers": 2 if quick else NET_WORKERS, "quick": quick,
+            "scenarios": scenarios}
 
 
-# --- --adapt: phase-shifting autonomic workload ----------------------------
+# --- adapt: phase-shifting autonomic workload -------------------------------
 
-def run_adapt(args):
-    binary = os.path.join(args.build, "bench", "adapt_scaling")
-    cmd = [binary, "--out", args.out]
-    if args.quick:
+def run_adapt(build, quick, out):
+    cmd = [os.path.join(build, "bench", "adapt_scaling"), "--out", out]
+    if quick:
         cmd += ["--phase-seconds", "2", "--reps", "1"]
     print("+ " + " ".join(cmd), file=sys.stderr)
     proc = subprocess.run(cmd)
     if proc.returncode != 0:
         raise SystemExit(f"adapt_scaling failed ({proc.returncode})")
-    with open(args.out) as fh:
-        doc = json.load(fh)
-
-    recovery = doc["recovery"]
-    print(f"wrote {args.out} ({len(doc['configs'])} configs)")
-    for name, r in sorted(recovery["min_recovery"].items()):
-        print(f"  {name}: worst-phase recovery {r:.3f}")
-    print(f"  adaptive {recovery['adaptive_min_recovery']:.3f} vs best "
-          f"static {recovery['best_static_min_recovery']:.3f}")
+    with open(out) as fh:
+        return json.load(fh)
 
 
 def main(argv):
     args = parse_args(argv)
-    if args.out is None:
-        if args.net:
-            args.out = "BENCH_net.json"
-        elif args.adapt:
-            args.out = "BENCH_adapt.json"
-        else:
-            args.out = "BENCH_scheduler.json"
-    if args.net:
-        run_net(args)
-        return
-    if args.adapt:
-        run_adapt(args)
-        return
-    doc, repetitions = run_benchmark(args)
-    results = distill(doc, repetitions)
-    with open(args.out, "w") as fh:
-        json.dump(results, fh, indent=2)
+    out = args.out or f"BENCH_{args.kind}.json"
+    if args.kind == "net":
+        doc = run_net(args.build, args.quick)
+    else:
+        doc = run_adapt(args.build, args.quick, out)
+    with open(out, "w") as fh:
+        json.dump({"kind": args.kind, "host": host_block(args.build), **doc},
+                  fh, indent=2)
         fh.write("\n")
-    print(f"wrote {args.out} ({len(results['benchmarks'])} benchmarks, "
-          f"median of {repetitions})")
-    summarize(results)
+    print(f"wrote {out}")
 
 
 if __name__ == "__main__":
